@@ -29,9 +29,16 @@ def rbf_gamma(X: np.ndarray) -> float:
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     sq_a = np.einsum("ij,ij->i", A, A)
     sq_b = np.einsum("ij,ij->i", B, B)
-    sq = sq_a[:, None] + sq_b[None, :] - 2.0 * (A @ B.T)
+    # one output buffer: same operations in the same order as
+    # exp(-gamma * clip(sq_a + sq_b - 2 A.B^T)), without the temporaries
+    sq = sq_a[:, None] + sq_b[None, :]
+    G = A @ B.T
+    G *= 2.0
+    sq -= G
+    del G
     np.clip(sq, 0.0, None, out=sq)
-    return np.exp(-gamma * sq)
+    sq *= -gamma
+    return np.exp(sq, out=sq)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Base learners: isolation forest, KNN distance, LOF, one-class SVM."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from perfdiag.core import SelectedFrame
 from perfdiag.detectors import DetectorSpec, ScoreVector, fit_score, threshold
 from perfdiag.detectors.iforest import avg_path_length, iforest_scores
-from perfdiag.detectors.neighbors import _distance_block, knn_scores, lof_scores
+from perfdiag.detectors.neighbors import knn_scores, lof_scores
 from perfdiag.detectors.ocsvm import ocsvm_fit, rbf_gamma, rbf_kernel
 from perfdiag.errors import InvalidConfig, NumericalFailure, TooFewSamples
 
@@ -130,17 +132,69 @@ def test_knn_too_few_points():
         knn_scores(np.zeros((3, 2)), 3)
 
 
-def test_distance_kernels_agree():
-    # direct expansion and squared-norm identity must match off the
-    # diagonal; the self-distance cancellation residue is masked by callers
-    rng = np.random.default_rng(2)
-    X = rng.standard_normal((30, 5)) * 3.0 + 1.0
-    rows = np.arange(30)
-    a = _distance_block(X, rows, direct=True)
-    b = _distance_block(X, rows, direct=False)
-    off = ~np.eye(30, dtype=bool)
-    np.testing.assert_allclose(a[off], b[off], rtol=1e-12)
-    assert (np.diag(b) < 1e-6).all()
+def direct_reference(X, k):
+    """KNN and LOF from the full (x - y)^2 expansion, no screening.
+
+    Pile-edge points (inf LOF next to more than k duplicates) take the
+    largest finite LOF, as in lof_scores.
+    """
+    diff = X[:, None, :] - X[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    np.fill_diagonal(dist, np.inf)
+    kdist = np.partition(dist, k - 1, axis=1)[:, k - 1]
+    nbrs = [np.flatnonzero(row <= kd) for row, kd in zip(dist, kdist)]
+    lrd = np.empty(len(X))
+    for p, nb in enumerate(nbrs):
+        mean = np.maximum(kdist[nb], dist[p, nb]).mean()
+        lrd[p] = np.inf if mean == 0.0 else 1.0 / mean
+    lof = np.array([
+        1.0 if np.isinf(lrd[p]) else lrd[nb].mean() / lrd[p]
+        for p, nb in enumerate(nbrs)
+    ])
+    lof[np.isinf(lof)] = lof[np.isfinite(lof)].max()
+    return kdist, lof, max(len(nb) for nb in nbrs)
+
+
+def test_neighbor_pass_exact_on_hostile_inputs():
+    # duplicates, 0.25 quantization, a constant column and a +1e6 offset
+    # (worst case for Gram-identity cancellation); small k lands in ties
+    rng = np.random.default_rng(21)
+    tied = 0
+    for trial in range(6):
+        X = np.round(rng.standard_normal((120, 3 + 5 * trial)) * 4.0) / 4.0
+        X[:, 1] = 7.0
+        X[40:43] = X[10]
+        X[90:96] = X[60]
+        X += 1e6
+        for k in (1, 2, 3, 8):
+            kdist, lof, widest = direct_reference(X, k)
+            tied += widest > k
+            np.testing.assert_array_equal(knn_scores(X, k), kdist)
+            np.testing.assert_array_equal(lof_scores(X, k), lof)
+            np.testing.assert_allclose(kdist, knn_oracle(X, k), rtol=1e-9, atol=0.0)
+            want = lof_oracle(X, k)
+            finite = np.isfinite(want)
+            np.testing.assert_allclose(lof[finite], want[finite], rtol=1e-9, atol=0.0)
+    assert tied >= 12  # most cases really cut through a distance tie
+
+
+def test_neighbor_pass_memory_bounded():
+    # SMD width, quantized values and 5-row stalls
+    start = time.perf_counter()
+    rng = np.random.default_rng(8)
+    X = np.round(rng.standard_normal((10_000, 38)) * 4.0) / 4.0
+    for s in range(0, 10_000, 50):
+        X[s + 1:s + 5] = X[s]
+    tracemalloc.start()
+    try:
+        knn_scores(X, 5)
+        lof_scores(X, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    elapsed = time.perf_counter() - start
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert elapsed < 20.0, f"runtime budget 20 s exceeded: {elapsed:.1f}s"
 
 
 # --- lof ------------------------------------------------------------------
@@ -161,6 +215,20 @@ def test_lof_isolated_point_scores_high():
 def test_lof_duplicate_pile_is_one():
     scores = lof_scores(np.zeros((5, 2)), 2)
     np.testing.assert_array_equal(scores, np.ones(5))
+
+
+def test_lof_survives_long_duplicate_stall():
+    # 25 identical rows beside distinct ones: the pile's lrd is infinite, so
+    # its finite-lrd neighbours would score inf and fail the run
+    rng = np.random.default_rng(3)
+    X = np.vstack([np.zeros((25, 2)), rng.standard_normal((100, 2))])
+    raw = lof_oracle(X, 20)
+    edge = np.isinf(raw)
+    assert edge.any()
+    scores = fit_score(DetectorSpec("lof"), sel(X)).values
+    np.testing.assert_array_equal(scores[:25], 1.0)
+    np.testing.assert_array_equal(scores[edge], raw[~edge].max())
+    np.testing.assert_allclose(scores[~edge], raw[~edge], rtol=1e-9)
 
 
 def test_lof_matches_bruteforce_oracle():
