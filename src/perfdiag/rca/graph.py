@@ -5,6 +5,12 @@ conditional-independence tests, orients v-structures from the recorded
 separating sets, then propagates orientations with the Meek rules. Edges
 whose direction stays unresolved remain undirected. Every iteration runs
 in sorted node-name order so the output is deterministic.
+
+The skeleton decides all level-0 tests in one batch. At deeper levels it
+tests an edge's conditioning sets in growing chunks, one batched inverse of
+the stacked correlation submatrices per chunk. The first independent set in
+combination order still decides the edge, so the graph and the separating
+sets are those of testing one set at a time.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -20,6 +26,12 @@ import numpy as np
 from scipy.special import ndtri
 
 from ..errors import InvalidConfig, SingularSubmatrixWarning, TooFewSamples
+
+# conditioning sets per batched inverse: an edge's first chunk is small
+# because most edges fall at one of their first sets; later chunks double up
+# to the cap, a (4096, l+2, l+2) float64 stack of about 3 MB at level 8
+_CHUNK_MIN = 16
+_CHUNK_MAX = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,6 +64,15 @@ class CausalGraph:
         object.__setattr__(self, "undirected", undirected)
         if self._has_directed_cycle():
             raise InvalidConfig("directed part contains a cycle")
+        preds: dict[str, set[str]] = {n: set() for n in nodes}
+        for u, v in directed:
+            preds[v].add(u)
+        for a, b in undirected:
+            preds[a].add(b)
+            preds[b].add(a)
+        object.__setattr__(
+            self, "_preds", {n: tuple(sorted(p)) for n, p in preds.items()}
+        )
 
     def _has_directed_cycle(self) -> bool:
         in_deg = {n: 0 for n in self.nodes}
@@ -80,13 +101,7 @@ class CausalGraph:
 
     def predecessors(self, node: str) -> tuple[str, ...]:
         """Directed parents plus undirected neighbors, sorted."""
-        preds = {u for u, v in self.directed if v == node}
-        for a, b in self.undirected:
-            if a == node:
-                preds.add(b)
-            elif b == node:
-                preds.add(a)
-        return tuple(sorted(preds))
+        return self._preds.get(node, ())
 
     def to_dict(self) -> dict:
         return {
@@ -142,10 +157,30 @@ def partial_correlation(corr: np.ndarray, i: int, j: int, S: Sequence[int]) -> f
             SingularSubmatrixWarning,
         )
         prec = np.linalg.inv(sub + 1e-8 * np.eye(sub.shape[0]))
-    denom = prec[0, 0] * prec[1, 1]
-    if denom <= 0.0:
-        return 0.0
-    return float(np.clip(-prec[0, 1] / np.sqrt(denom), -1.0, 1.0))
+    return float(_partial_rho(prec[None])[0])
+
+
+def _partial_rho(prec: np.ndarray) -> np.ndarray:
+    """rho(0, 1 | rest) for each precision matrix of a (K, m, m) stack."""
+    denom = prec[:, 0, 0] * prec[:, 1, 1]
+    nonpositive = denom <= 0.0
+    # a near-singular matrix yields inf or NaN entries; a batch may hold
+    # such sets past an edge's first independent one, so they must not warn
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        rho = -prec[:, 0, 1] / np.sqrt(np.where(nonpositive, 1.0, denom))
+    return np.clip(np.where(nonpositive, 0.0, rho), -1.0, 1.0)
+
+
+def _independent(rho: np.ndarray, dof: int, q: float) -> np.ndarray:
+    """Fisher z decision per entry: sqrt(dof) * |atanh(rho)| <= q.
+
+    |rho| = 1 and NaN count as dependent. ``q`` is the two-sided Gaussian
+    quantile ndtri(1 - alpha / 2) and ``dof`` is d - |S| - 3.
+    """
+    inside = np.abs(rho) < 1.0
+    r = np.where(inside, rho, 0.0)
+    z = 0.5 * np.log((1.0 + r) / (1.0 - r))
+    return inside & (np.sqrt(dof) * np.abs(z) <= q)
 
 
 def ci_test(
@@ -170,18 +205,105 @@ def ci_test(
             f"need d > |S| + 3 samples for the Fisher z test (d={d}, |S|={len(S)})"
         )
     corr = _correlation_matrix(data)
-    return _ci_from_corr(corr, d, i, j, S, alpha)
+    return _ci_from_corr(corr, d, i, j, S, ndtri(1.0 - alpha / 2.0))
 
 
 def _ci_from_corr(
-    corr: np.ndarray, d: int, i: int, j: int, S: tuple[int, ...], alpha: float
+    corr: np.ndarray, d: int, i: int, j: int, S: tuple[int, ...], q: float
 ) -> bool:
     rho = partial_correlation(corr, i, j, S)
-    if abs(rho) >= 1.0:
-        return False
-    z = 0.5 * np.log((1.0 + rho) / (1.0 - rho))
-    stat = np.sqrt(d - len(S) - 3) * abs(z)
-    return bool(stat <= ndtri(1.0 - alpha / 2.0))
+    return bool(_independent(np.array([rho]), d - len(S) - 3, q)[0])
+
+
+def _batch_independent(
+    corr: np.ndarray, idx: np.ndarray, d: int, q: float
+) -> np.ndarray:
+    """Decide the tests idx[k] = (i, j, *S) at once.
+
+    Raises LinAlgError when any of the stacked submatrices is singular.
+    """
+    prec = np.linalg.inv(corr[idx[:, :, None], idx[:, None, :]])
+    return _independent(_partial_rho(prec), d - idx.shape[1] - 1, q)
+
+
+def _pairwise_independent(corr: np.ndarray, d: int, q: float) -> np.ndarray | None:
+    """Level-0 decisions for every ordered column pair in one batch.
+
+    None when some pair is exactly collinear: those tests then run one at a
+    time so their ridge warnings come in skeleton order.
+    """
+    n = corr.shape[0]
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    out = np.zeros((n, n), dtype=bool)
+    try:
+        out[i, j] = _batch_independent(corr, np.stack([i, j], axis=1), d, q)
+    except np.linalg.LinAlgError:
+        return None
+    return out
+
+
+def _first_independent(
+    corr: np.ndarray, d: int, q: float, i: int, j: int, subsets, level: int
+) -> tuple[int, ...] | None:
+    """The first set of ``subsets`` that separates columns i and j, or None.
+
+    A chunk holding a singular submatrix is redone one test at a time, in
+    order and up to its first independent set, so the ridge fallback runs
+    and warns exactly as when testing one set at a time.
+    """
+    size = _CHUNK_MIN
+    while chunk := list(islice(subsets, size)):
+        idx = np.empty((len(chunk), level + 2), dtype=np.intp)
+        idx[:, 0], idx[:, 1] = i, j
+        idx[:, 2:] = chunk
+        try:
+            hits = _batch_independent(corr, idx, d, q)
+        except np.linalg.LinAlgError:
+            for S in chunk:
+                if _ci_from_corr(corr, d, i, j, S, q):
+                    return S
+        else:
+            if hits.any():
+                return chunk[int(hits.argmax())]
+        size = min(2 * size, _CHUNK_MAX)
+    return None
+
+
+def _skeleton(
+    corr: np.ndarray, d: int, names: tuple[str, ...], alpha: float
+) -> tuple[dict[str, set[str]], dict[tuple[str, str], tuple[str, ...]]]:
+    """PC skeleton: adjacency sets, and separating sets by sorted name pair.
+
+    At level l, edge (a, b) falls at the first size-l subset of adj(a) - b,
+    in combination order of the sorted names, found independent; the
+    removal takes effect immediately.
+    """
+    q = ndtri(1.0 - alpha / 2.0)
+    col = {name: k for k, name in enumerate(names)}
+    adj: dict[str, set[str]] = {n: set(names) - {n} for n in names}
+    sepset: dict[tuple[str, str], tuple[str, ...]] = {}
+
+    level = 0
+    while any(len(adj[n]) > level for n in names):
+        if d - level - 3 <= 0:
+            break  # not enough samples to condition any deeper
+        pairwise = _pairwise_independent(corr, d, q) if level == 0 else None
+        for a in sorted(names):
+            for b in sorted(adj[a]):
+                candidates = [col[s] for s in sorted(adj[a] - {b})]
+                if len(candidates) < level:
+                    continue
+                if pairwise is not None:
+                    S = () if pairwise[col[a], col[b]] else None
+                else:
+                    subsets = combinations(candidates, level)
+                    S = _first_independent(corr, d, q, col[a], col[b], subsets, level)
+                if S is not None:
+                    adj[a].discard(b)
+                    adj[b].discard(a)
+                    sepset[tuple(sorted((a, b)))] = tuple(names[k] for k in S)
+        level += 1
+    return adj, sepset
 
 
 class _Pdag:
@@ -191,6 +313,7 @@ class _Pdag:
         self.nodes = tuple(nodes)
         self.und: set[tuple[str, str]] = {tuple(sorted(p)) for p in und_pairs}
         self.dir: set[tuple[str, str]] = set()
+        self.children: dict[str, set[str]] = {n: set() for n in self.nodes}
 
     def has_und(self, a: str, b: str) -> bool:
         return tuple(sorted((a, b))) in self.und
@@ -209,10 +332,9 @@ class _Pdag:
             x = stack.pop()
             if x == u:
                 return True
-            for (a, b) in self.dir:
-                if a == x and b not in seen:
-                    seen.add(b)
-                    stack.append(b)
+            for b in self.children[x] - seen:
+                seen.add(b)
+                stack.append(b)
         return False
 
     def orient(self, u: str, v: str) -> bool:
@@ -221,11 +343,14 @@ class _Pdag:
             return False
         self.und.discard(tuple(sorted((u, v))))
         self.dir.add((u, v))
+        self.children[u].add(v)
         return True
 
     def unorient(self, a: str, b: str) -> None:
         self.dir.discard((a, b))
         self.dir.discard((b, a))
+        self.children[a].discard(b)
+        self.children[b].discard(a)
         self.und.add(tuple(sorted((a, b))))
 
 
@@ -234,7 +359,9 @@ def pc_build(values: np.ndarray, names: Sequence[str], alpha: float = 0.05) -> C
 
     Skeleton phase removes edge (i, j) at conditioning level l on the first
     size-l subset of adj(i) minus j found independent, recording it as the
-    separating set (removal takes effect immediately). V-structures
+    separating set (removal takes effect immediately). The tests of one
+    edge and level run in batches but stop at that same first subset, so
+    the graph is that of testing one subset at a time. V-structures
     i -> k <- j are oriented for nonadjacent pairs whose separating set
     excludes k; conflicting orientations revert the edge to undirected.
     Meek rules then propagate directions until nothing changes.
@@ -242,31 +369,7 @@ def pc_build(values: np.ndarray, names: Sequence[str], alpha: float = 0.05) -> C
     names = tuple(names)
     if values.ndim != 2 or values.shape[1] != len(names):
         raise InvalidConfig("one name per data column required")
-    d = values.shape[0]
-    col = {name: k for k, name in enumerate(names)}
-    corr = _correlation_matrix(values)
-
-    adj: dict[str, set[str]] = {n: set(names) - {n} for n in names}
-    sepset: dict[tuple[str, str], tuple[str, ...]] = {}
-
-    level = 0
-    while any(len(adj[n]) > level for n in names):
-        if d - level - 3 <= 0:
-            break  # not enough samples to condition any deeper
-        for a in sorted(names):
-            for b in sorted(adj[a]):
-                candidates = sorted(adj[a] - {b})
-                if len(candidates) < level:
-                    continue
-                for S in combinations(candidates, level):
-                    if _ci_from_corr(
-                        corr, d, col[a], col[b], tuple(col[s] for s in S), alpha
-                    ):
-                        adj[a].discard(b)
-                        adj[b].discard(a)
-                        sepset[tuple(sorted((a, b)))] = S
-                        break
-        level += 1
+    adj, sepset = _skeleton(_correlation_matrix(values), values.shape[0], names, alpha)
 
     g = _Pdag(names, ((a, b) for a in names for b in adj[a] if a < b))
 

@@ -1,7 +1,12 @@
 """Causal graph discovery and random-walk root-cause localization."""
 
+import time
+import warnings
+from itertools import combinations
+
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from perfdiag.errors import (
     EmptyGroundTruth,
@@ -12,6 +17,7 @@ from perfdiag.errors import (
 from perfdiag.rca.graph import (
     CausalGraph,
     _correlation_matrix,
+    _skeleton,
     ci_test,
     partial_correlation,
     pc_build,
@@ -176,6 +182,97 @@ def test_pc_deterministic():
 def test_pc_rejects_name_mismatch():
     with pytest.raises(InvalidConfig):
         pc_build(np.zeros((10, 3)), ("a", "b"))
+
+
+def factor_data(n_metrics, d=2000, sigma=2.0):
+    """Metrics driven by 3 shared hidden factors, plus an indicator column.
+
+    The indicator marks rows 500-699, where m0 is shifted by 6 sigma. The
+    shared factors keep the skeleton dense, so PC runs deep levels.
+    """
+    loadings = np.random.default_rng(n_metrics).normal(size=(n_metrics, 3))
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(d, 3)) @ loadings.T + sigma * rng.normal(size=(d, n_metrics))
+    indicator = np.zeros(d)
+    indicator[500:700] = 1.0
+    X[500:700, 0] += 6.0 * sigma
+    names = tuple(f"m{k}" for k in range(n_metrics)) + ("indicator",)
+    return np.column_stack([X, indicator]), names
+
+
+def reference_skeleton(corr, d, names, alpha):
+    """The PC skeleton with one partial_correlation call per conditioning set."""
+    q = ndtri(1.0 - alpha / 2.0)
+    col = {n: k for k, n in enumerate(names)}
+    adj = {n: set(names) - {n} for n in names}
+    sepset = {}
+    level = 0
+    while any(len(adj[n]) > level for n in names) and d - level - 3 > 0:
+        for a in sorted(names):
+            for b in sorted(adj[a]):
+                for S in combinations(sorted(adj[a] - {b}), level):
+                    rho = partial_correlation(corr, col[a], col[b], [col[s] for s in S])
+                    if abs(rho) >= 1.0:
+                        continue
+                    z = 0.5 * np.log((1.0 + rho) / (1.0 - rho))
+                    if np.sqrt(d - level - 3) * abs(z) <= q:
+                        adj[a].discard(b)
+                        adj[b].discard(a)
+                        sepset[tuple(sorted((a, b)))] = S
+                        break
+        level += 1
+    return adj, sepset
+
+
+def collinear_binary_data():
+    # two balanced +-1 columns, each with an exact copy: their z-scores are
+    # exactly +-1, so each copy pair has correlation exactly 1.0 and every
+    # submatrix holding both is singular. Column order differs from name
+    # order, and c falls at S = [b] before its singular set [k2].
+    rng = np.random.default_rng(7)
+    d = 400
+    lab = -np.ones(d)
+    lab[::2] = 1.0
+    flag = np.where(np.arange(d) % 4 < 2, 1.0, -1.0)
+    b = lab + 0.5 * rng.standard_normal(d)
+    c = b + 0.5 * rng.standard_normal(d)
+    a = 0.5 * flag + rng.standard_normal(d)
+    indicator = c + a + rng.standard_normal(d)
+    names = ("z1", "z2", "k1", "k2", "b", "c", "a", "indicator")
+    return np.column_stack([flag, flag, lab, lab, b, c, a, indicator]), names
+
+
+@pytest.mark.parametrize(
+    "case, alpha",
+    [("factors", 0.01), ("factors", 0.05), ("collinear", 0.05)],
+)
+def test_batched_skeleton_matches_one_test_per_call(case, alpha):
+    data, names = factor_data(24) if case == "factors" else collinear_binary_data()
+    corr = _correlation_matrix(data)
+    d = data.shape[0]
+    with warnings.catch_warnings(record=True) as expected_warnings:
+        warnings.simplefilter("always")
+        expected = reference_skeleton(corr, d, names, alpha)
+    with warnings.catch_warnings(record=True) as got_warnings:
+        warnings.simplefilter("always")
+        got = _skeleton(corr, d, names, alpha)
+    assert got == expected
+    assert [str(w.message) for w in got_warnings] == [
+        str(w.message) for w in expected_warnings
+    ]
+    assert (len(expected_warnings) > 0) == (case == "collinear")
+
+
+def test_pc_dense_factor_runtime_budget():
+    # 32 factor-driven metrics keep edges alive up to level 11: about 236k
+    # CI tests, so the budget holds only when an edge's tests run in batches
+    data, names = factor_data(32)
+    start = time.perf_counter()
+    g = pc_build(data, names, alpha=0.05)
+    elapsed = time.perf_counter() - start
+    assert {"indicator", "m0"} in [set(e) for e in g.directed + g.undirected]
+    assert elapsed < 4.0, f"runtime budget 4 s exceeded: {elapsed:.1f}s"
+    print(f"pc_build 2000 x 33 factor graph: {elapsed:.2f}s")
 
 
 # --- random walks ---------------------------------------------------------
