@@ -5,98 +5,4 @@ base learners combined by linear or weakly supervised deep ensembles, and
 causal root-cause localization via the PC algorithm plus random walks.
 """
 
-from .core import (
-    DiagnosisReport,
-    EvaluationBlock,
-    LabelSeries,
-    MetricFrame,
-    RankedCause,
-    ScoreMatrix,
-    SelectedFrame,
-    align,
-)
-from .detectors import DetectorSpec, ScoreVector, fit_score, threshold
-from .ensemble import (
-    EnsembleWeights,
-    assemble,
-    ensemble_avg,
-    ensemble_max,
-    ensemble_weighted,
-    mi_weights,
-    split,
-)
-from .evaluation import MethodResult, prf1, ranks_from_f1, robustness
-from .ingest import GenConfig, GroundTruth, generate, load_csv, load_smd
-from .mlp import MlpModel, TrainConfig, predict_deep, train_deep
-from .pipeline import PipelineConfig, run_pipeline
-from .preprocess import (
-    CorrelationResult,
-    PcaModel,
-    correlate_select,
-    pca_fit,
-    pca_transform,
-    zscore,
-)
-from .rca import (
-    CausalGraph,
-    RootCauseRanking,
-    ac_at_k,
-    avg_at_k,
-    ci_test,
-    localize,
-    pc_build,
-    random_walk,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CausalGraph",
-    "CorrelationResult",
-    "DetectorSpec",
-    "DiagnosisReport",
-    "EnsembleWeights",
-    "EvaluationBlock",
-    "GenConfig",
-    "GroundTruth",
-    "LabelSeries",
-    "MethodResult",
-    "MetricFrame",
-    "MlpModel",
-    "PcaModel",
-    "PipelineConfig",
-    "RankedCause",
-    "RootCauseRanking",
-    "ScoreMatrix",
-    "ScoreVector",
-    "SelectedFrame",
-    "TrainConfig",
-    "ac_at_k",
-    "align",
-    "assemble",
-    "avg_at_k",
-    "ci_test",
-    "correlate_select",
-    "ensemble_avg",
-    "ensemble_max",
-    "ensemble_weighted",
-    "fit_score",
-    "generate",
-    "load_csv",
-    "load_smd",
-    "localize",
-    "mi_weights",
-    "pc_build",
-    "pca_fit",
-    "pca_transform",
-    "predict_deep",
-    "prf1",
-    "random_walk",
-    "ranks_from_f1",
-    "robustness",
-    "run_pipeline",
-    "split",
-    "threshold",
-    "train_deep",
-    "zscore",
-]

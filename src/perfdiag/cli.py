@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-`run` executes the whole pipeline; the other subcommands replay single
-stages against the fixed artifact names in the output directory, so an
-experiment can be reproduced step by step. Failures exit nonzero with a
-one-line JSON error record on stderr.
+`run` executes the whole pipeline. `select`, `detect`, `train`, `predict`
+and `rca` replay one stage of it through `pipeline.run_stage`, reading the
+earlier stages' artifacts from the output directory, so an experiment can
+be reproduced step by step. Failures exit nonzero with a one-line JSON
+error record on stderr.
 """
 
 from __future__ import annotations
@@ -11,30 +12,18 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .core import LabelSeries, SelectedFrame
-from .detectors import KINDS, ScoreVector, fit_score
-from .ensemble import assemble, ensemble_avg, ensemble_max, ensemble_weighted, mi_weights, split
 from .errors import InvalidConfig, ParseError, PipelineStageError
 from .evaluation import ranks_from_f1, robustness
-from .ingest import GenConfig, _load_label_csv, generate
-from .mlp import MlpModel, NormStats, TrainConfig, predict_deep, train_deep
-from .pipeline import (
-    PipelineConfig,
-    _report_from_scores,
-    load_config,
-    run_pipeline,
-)
-from .rca import CausalGraph, localize, pc_build, INDICATOR
+from .ingest import GenConfig, generate
+from .pipeline import PipelineConfig, load_config, run_pipeline, run_stage
+from .rca import CausalGraph, localize
 from .seeding import derive_seed
 
 
-def _add_common(p: argparse.ArgumentParser, *, labels_flag: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--seed", type=int, help="master seed")
     p.add_argument("--out", help="output directory")
@@ -44,8 +33,7 @@ def _add_common(p: argparse.ArgumentParser, *, labels_flag: bool = True) -> None
     p.add_argument("--shift", type=int)
     p.add_argument("--alpha", type=float)
     p.add_argument("--walks", type=int)
-    if labels_flag:
-        p.add_argument("--labels", help="labels CSV path override")
+    p.add_argument("--labels", help="labels CSV path override")
 
 
 def _config_from_args(args) -> PipelineConfig:
@@ -69,10 +57,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (
         ("run", "full pipeline: ingest, select, detect, ensemble, rca, report"),
         ("gen", "generate synthetic data into the output directory"),
-        ("select", "normalize and select metrics from data.csv"),
+        ("select", "normalize and select metrics from the configured data"),
         ("detect", "score selected data with the four base learners"),
-        ("train", "train the deep ensemble on assembled scores"),
-        ("predict", "apply a persisted model to assembled scores"),
+        ("train", "train the deep ensemble on the detect stage's scores"),
+        ("predict", "apply the trained model to the detect stage's scores"),
         ("rca", "build the causal graph and rank root causes"),
         ("eval", "robustness table from per-dataset result CSVs"),
     ):
@@ -111,18 +99,16 @@ def _dispatch(args) -> int:
     config = _config_from_args(args)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    return {
-        "run": _cmd_run,
-        "gen": _cmd_gen,
-        "select": _cmd_select,
-        "detect": _cmd_detect,
-        "train": _cmd_train,
-        "predict": _cmd_predict,
-        "rca": _cmd_rca,
-    }[args.command](args, config, out)
+    if args.command == "run":
+        return _cmd_run(config, out)
+    if args.command == "gen":
+        return _cmd_gen(config, out)
+    if args.command == "rca" and args.graph:
+        return _cmd_rca_graph(args, config, out)
+    return _cmd_stage(args.command, config, out)
 
 
-def _cmd_run(args, config: PipelineConfig, out: Path) -> int:
+def _cmd_run(config: PipelineConfig, out: Path) -> int:
     report = run_pipeline(config)
     ev = report.evaluation
     if ev is not None:
@@ -131,7 +117,7 @@ def _cmd_run(args, config: PipelineConfig, out: Path) -> int:
     return 0
 
 
-def _cmd_gen(args, config: PipelineConfig, out: Path) -> int:
+def _cmd_gen(config: PipelineConfig, out: Path) -> int:
     if "generate" not in config.data:
         raise InvalidConfig("gen requires a data.generate section in the config")
     gen = GenConfig(**config.data["generate"])
@@ -151,187 +137,34 @@ def _cmd_gen(args, config: PipelineConfig, out: Path) -> int:
     return 0
 
 
-def _load_stage_inputs(config: PipelineConfig, out: Path):
-    from .pipeline import _Run, _ingest, _select
-
-    run = _Run(config)
-    run.out = out
-    _ingest(run)
-    _select(run)
-    return run
-
-
-def _cmd_select(args, config: PipelineConfig, out: Path) -> int:
-    config = _default_csv_data(config, out)
-    run = _load_stage_inputs(config, out)
-    print(
-        f"selected {run.selection_info['n_after']} of "
-        f"{run.selection_info['n_before']} metrics ({config.select_method})"
-    )
-    return 0
-
-
-def _default_csv_data(config: PipelineConfig, out: Path) -> PipelineConfig:
-    """Stage commands default to the artifacts gen wrote into the out dir."""
-    if config.data:
-        return config
-    doc = config.to_dict()
-    doc["data"] = {"csv": str(out / "data.csv")}
-    if (out / "labels.csv").exists():
-        doc["data"]["labels"] = str(out / "labels.csv")
-    return PipelineConfig.from_dict(doc)
-
-
-def _read_selected(out: Path) -> SelectedFrame:
-    path = out / "selected.json"
-    if not path.exists():
-        raise ParseError(f"{path} not found; run the select stage first")
-    return SelectedFrame.from_dict(json.loads(path.read_text()))
-
-
-def _read_scores(out: Path) -> tuple[list[ScoreVector], np.ndarray]:
-    vectors = []
-    timestamps = None
-    for kind in KINDS:
-        path = out / f"scores_{kind}.csv"
-        if not path.exists():
-            raise ParseError(f"{path} not found; run the detect stage first")
-        ts = []
-        vals = []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["timestamp", "score"]:
-                raise ParseError(f"{path}: expected header 'timestamp,score'")
-            for row in reader:
-                ts.append(int(row[0]))
-                vals.append(float(row[1]))
-        vectors.append(ScoreVector(values=np.asarray(vals), learner=kind))
-        timestamps = np.asarray(ts, dtype=np.int64)
-    return vectors, timestamps
-
-
-def _read_labels(config: PipelineConfig, out: Path) -> LabelSeries:
-    path = config.data.get("labels") if config.data else None
-    if path is None:
-        path = out / "labels.csv"
-    if not Path(path).exists():
-        raise ParseError(f"labels file {path} not found")
-    return _load_label_csv(path)
-
-
-def _cmd_detect(args, config: PipelineConfig, out: Path) -> int:
-    from .pipeline import _detector_spec, _Run
-
-    selected = _read_selected(out)
-    run = _Run(config)
-    run.out = out
-    vectors = []
-    for kind in KINDS:
-        vec = fit_score(_detector_spec(run, kind), selected)
-        vec.to_csv(out / f"scores_{kind}.csv", selected.timestamps)
-        vectors.append(vec)
-    if config.ensemble != "deep":
-        matrix = assemble(vectors)
-        combined = {
-            "max": ensemble_max,
-            "avg": ensemble_avg,
-            "weighted": lambda m: ensemble_weighted(m, mi_weights(m)),
-        }[config.ensemble](matrix)
-        report = _report_from_scores(combined, config.anomaly_fraction)
-        _write_verdict_csv(out, selected.timestamps, report)
-        print(f"wrote scores and verdicts ({config.ensemble}) to {out}")
-    else:
-        print(f"wrote base-learner scores to {out}")
-    return 0
-
-
-def _write_verdict_csv(out: Path, timestamps, report) -> None:
-    with open(out / "verdicts.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["timestamp", "probability", "verdict"])
-        for t, p, v in zip(timestamps, report.probabilities, report.verdicts):
-            w.writerow([int(t), repr(float(p)), int(v)])
-
-
-def _cmd_train(args, config: PipelineConfig, out: Path) -> int:
-    vectors, _ = _read_scores(out)
-    labels = _read_labels(config, out)
-    matrix = assemble(vectors)
-    (train_X, train_y), _ = split(matrix, labels, config.train_fraction)
-    tc = TrainConfig(
-        epochs=config.epochs,
-        batch=config.batch,
-        lr=config.lr,
-        seed=derive_seed(config.seed, "mlp"),
-    )
-    model = train_deep(
-        train_X, train_y, tc, shift=config.shift, norm=NormStats.from_matrix(matrix)
-    )
-    model.save(out / "model.json")
-    print(f"model written to {out / 'model.json'}")
-    return 0
-
-
-def _cmd_predict(args, config: PipelineConfig, out: Path) -> int:
-    model_path = out / "model.json"
-    if not model_path.exists():
-        raise ParseError(f"{model_path} not found; run the train stage first")
-    model = MlpModel.load(model_path)
-    vectors, timestamps = _read_scores(out)
-    raw = np.column_stack([v.values for v in vectors])
-    values = model.norm.apply(raw) if model.norm is not None else raw
-    cut = split_point(values.shape[0], config.train_fraction)
-    s = model.shift
-    test = values[cut:]
-    usable = test.shape[0] - s
-    if usable <= 0:
-        raise InvalidConfig(f"shift {s} leaves no evaluable test rows")
-    report = predict_deep(model, test[:usable])
-    _write_verdict_csv(out, timestamps[cut + s : cut + s + usable], report)
-    print(f"verdicts written to {out / 'verdicts.csv'}")
-    return 0
-
-
-def split_point(d: int, train_fraction: float) -> int:
-    return math.ceil(train_fraction * d - 1e-9)
-
-
-def _cmd_rca(args, config: PipelineConfig, out: Path) -> int:
-    if getattr(args, "graph", None):
-        graph = CausalGraph.load(args.graph)
-    else:
-        config = _default_csv_data(config, out)
-        run = _load_stage_inputs(config, out)
-        if run.labels is None:
-            raise InvalidConfig("rca without --graph needs labels for the indicator")
-        from .pipeline import _rca_span
-
-        rows = _rca_span(run.labels.labels)
-        if rows.size == 0:
-            raise InvalidConfig("labels mark no anomaly window; nothing to localize")
-        if run.selected.method == "correlation":
-            values, names = run.selected.values, run.selected.columns
+def _cmd_stage(name: str, config: PipelineConfig, out: Path) -> int:
+    run = run_stage(config, name)
+    print(f"wrote {', '.join(run.artifacts)} to {out}")
+    if name == "rca":
+        if run.rca_info is None:
+            print("no anomaly window; nothing to localize")
         else:
-            values, names = run.normalized.values, run.normalized.names
-        span = np.column_stack(
-            [values[rows], run.labels.labels[rows].astype(np.float64)]
-        )
-        graph = pc_build(span, tuple(names) + (INDICATOR,), alpha=config.alpha)
-        graph.save(out / "graph.json")
-        (out / "graph.txt").write_text(graph.edge_list_text())
+            _print_ranking(run.rca_info["ranking"])
+    return 0
+
+
+def _cmd_rca_graph(args, config: PipelineConfig, out: Path) -> int:
     ranking = localize(
-        graph,
+        CausalGraph.load(args.graph),
         total_walks=config.walks,
         length=config.walk_length,
         seed=derive_seed(config.seed, "rca"),
     )
     ranking.to_csv(out / "ranking.csv")
-    for rank, (node, count) in enumerate(ranking.entries, start=1):
-        print(f"{rank}. {node} ({count} walks)")
-    if not ranking.entries:
-        print("no root-cause candidates (indicator isolated?)")
+    _print_ranking(ranking.entries)
     return 0
+
+
+def _print_ranking(entries) -> None:
+    for rank, (node, count) in enumerate(entries, start=1):
+        print(f"{rank}. {node} ({count} walks)")
+    if not entries:
+        print("no root-cause candidates (indicator isolated?)")
 
 
 def _cmd_eval(args) -> int:

@@ -1,8 +1,7 @@
 """Shared data model: metric frames, labels, scores, and diagnosis reports.
 
-All types are immutable after construction (arrays are frozen), validate
-their invariants eagerly, and round-trip exactly through ``to_dict`` /
-``from_dict`` (floats survive JSON via repr-based encoding).
+All types are immutable after construction (arrays are frozen) and
+validate their invariants eagerly.
 """
 
 from __future__ import annotations
@@ -92,23 +91,6 @@ class MetricFrame:
             and np.array_equal(self.values, other.values)
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "timestamps": self.timestamps.tolist(),
-            "values": self.values.tolist(),
-            "names": list(self.names),
-            "interval": self.interval,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricFrame":
-        return cls(
-            timestamps=np.asarray(d["timestamps"], dtype=np.int64),
-            values=np.asarray(d["values"], dtype=np.float64),
-            names=tuple(d["names"]),
-            interval=int(d["interval"]),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class LabelSeries:
@@ -136,19 +118,6 @@ class LabelSeries:
             isinstance(other, LabelSeries)
             and np.array_equal(self.timestamps, other.timestamps)
             and np.array_equal(self.labels, other.labels)
-        )
-
-    def anomaly_fraction(self) -> float:
-        return float(self.labels.mean()) if len(self) else 0.0
-
-    def to_dict(self) -> dict:
-        return {"timestamps": self.timestamps.tolist(), "labels": self.labels.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LabelSeries":
-        return cls(
-            timestamps=np.asarray(d["timestamps"], dtype=np.int64),
-            labels=np.asarray(d["labels"], dtype=np.int64),
         )
 
 
@@ -224,21 +193,6 @@ class SelectedFrame:
             "col_stds": self.col_stds.tolist() if self.col_stds is not None else None,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SelectedFrame":
-        def arr(key):
-            return np.asarray(d[key], dtype=np.float64) if d.get(key) is not None else None
-        return cls(
-            timestamps=np.asarray(d["timestamps"], dtype=np.int64),
-            values=np.asarray(d["values"], dtype=np.float64),
-            columns=tuple(d["columns"]),
-            method=d["method"],
-            source_indices=tuple(d["source_indices"]) if d.get("source_indices") is not None else None,
-            projection=arr("projection"),
-            col_means=arr("col_means"),
-            col_stds=arr("col_stds"),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class ScoreMatrix:
@@ -281,23 +235,6 @@ class ScoreMatrix:
             and np.array_equal(self.norm_stds, other.norm_stds)
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "values": self.values.tolist(),
-            "learner_names": list(self.learner_names),
-            "norm_means": self.norm_means.tolist(),
-            "norm_stds": self.norm_stds.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScoreMatrix":
-        return cls(
-            values=np.asarray(d["values"], dtype=np.float64),
-            learner_names=tuple(d["learner_names"]),
-            norm_means=np.asarray(d["norm_means"], dtype=np.float64),
-            norm_stds=np.asarray(d["norm_stds"], dtype=np.float64),
-        )
-
 
 @dataclass(frozen=True)
 class EvaluationBlock:
@@ -308,30 +245,12 @@ class EvaluationBlock:
     f1: float
     seconds: Optional[float] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "seconds": self.seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvaluationBlock":
-        return cls(
-            precision=d["precision"], recall=d["recall"],
-            f1=d["f1"], seconds=d.get("seconds"),
-        )
-
 
 @dataclass(frozen=True)
 class RankedCause:
     metric: str
     count: int
     rank: int
-
-    def to_dict(self) -> dict:
-        return {"metric": self.metric, "count": self.count, "rank": self.rank}
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,26 +294,6 @@ class DiagnosisReport:
             and np.array_equal(self.verdicts, other.verdicts)
             and self.evaluation == other.evaluation
             and self.root_causes == other.root_causes
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "probabilities": self.probabilities.tolist(),
-            "threshold": self.threshold,
-            "verdicts": self.verdicts.tolist(),
-            "evaluation": self.evaluation.to_dict() if self.evaluation else None,
-            "root_causes": [c.to_dict() for c in self.root_causes] if self.root_causes is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DiagnosisReport":
-        causes = d.get("root_causes")
-        return cls(
-            probabilities=np.asarray(d["probabilities"], dtype=np.float64),
-            threshold=d["threshold"],
-            verdicts=np.asarray(d["verdicts"], dtype=np.int64),
-            evaluation=EvaluationBlock.from_dict(d["evaluation"]) if d.get("evaluation") else None,
-            root_causes=tuple(RankedCause(**c) for c in causes) if causes is not None else None,
         )
 
 

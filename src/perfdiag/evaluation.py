@@ -2,26 +2,12 @@
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.stats import rankdata
 
 from .errors import LengthMismatch, MissingRank
-
-
-@dataclass(frozen=True)
-class MethodResult:
-    """One method's detection quality on one dataset."""
-
-    method: str
-    dataset: str
-    precision: float
-    recall: float
-    f1: float
-    seconds: Optional[float] = None
 
 
 def prf1(verdicts, labels) -> tuple[float, float, float]:
@@ -75,19 +61,3 @@ def robustness(ranks_per_dataset: Mapping[str, Sequence[float]]) -> dict[str, fl
         return {m: 1.0 for m in avg}
     # + 0.0 turns the worst method's -0.0 into a plain 0.0
     return {m: (a - hi) / (lo - hi) + 0.0 for m, a in avg.items()}
-
-
-def results_to_csv(path, results: Sequence[MethodResult], ranks: Mapping[str, float]) -> None:
-    """Comparison table `method,precision,recall,f1,rank,seconds`."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "precision", "recall", "f1", "rank", "seconds"])
-        for r in results:
-            w.writerow([
-                r.method,
-                repr(float(r.precision)),
-                repr(float(r.recall)),
-                repr(float(r.f1)),
-                repr(float(ranks[r.method])) if r.method in ranks else "",
-                "" if r.seconds is None else repr(float(r.seconds)),
-            ])

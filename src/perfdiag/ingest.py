@@ -54,20 +54,8 @@ class GroundTruth:
             "windows": [list(w) for w in self.windows],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "GroundTruth":
-        return cls(
-            edges=tuple((a, b) for a, b in d["edges"]),
-            root_causes=tuple(d["root_causes"]),
-            windows=tuple((s, e) for s, e in d["windows"]),
-        )
-
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "GroundTruth":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 def _parse_int(cell: str, where: str) -> int:

@@ -1,9 +1,11 @@
 """End-to-end pipeline: ingest, select, detect, ensemble, predict, rca, eval.
 
-Artifacts land in the configured output directory with fixed names, so the
-CLI subcommands can re-run any stage from the previous stage's files. The
-report JSON is fully deterministic for a given (config, seed); wall-clock
-timings and artifact checksums go to a separate manifest file instead.
+Artifacts land in the configured output directory with fixed names.
+`run_pipeline` runs every stage in memory; `run_stage` replays one stage
+from the artifacts of the stages before it, by calling the same stage
+functions, so a step-by-step run writes the same files. The report JSON is
+fully deterministic for a given (config, seed); wall-clock timings and
+artifact checksums go to a separate manifest file instead.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .ensemble import (
     mi_weights,
     split,
 )
-from .errors import InvalidConfig, PipelineStageError
+from .errors import InvalidConfig, ParseError, PipelineStageError
 from .evaluation import prf1
 from .ingest import GenConfig, GroundTruth, generate, load_csv, load_smd
 from .mlp import MlpModel, NormStats, TrainConfig, predict_deep, train_deep
@@ -243,6 +245,93 @@ def run_pipeline(config: PipelineConfig) -> DiagnosisReport:
     return run.report
 
 
+def run_stage(config: PipelineConfig, name: str) -> _Run:
+    """Replay one stage of `run_pipeline` from the artifacts in the out dir.
+
+    Every stage re-runs ingest and select from the config. ``select`` stops
+    there. ``detect`` scores the selected data and, for a linear ensemble,
+    also writes the verdicts. ``train`` reads the scores back and writes the
+    model; ``predict`` reads the scores and the model back and writes the
+    verdicts. ``rca`` takes its anomaly windows from the labels, or reads
+    ``verdicts.csv`` back when there are none. Returns the run state.
+    """
+    run = _Run(config)
+    run.out.mkdir(parents=True, exist_ok=True)
+    _ingest(run)
+    _select(run)
+    if name == "detect":
+        _detect(run)
+        if config.ensemble != "deep":
+            _ensemble(run)
+    elif name in ("train", "predict"):
+        run.matrix = _read_scores(run)
+        halves = _split(run)
+        if name == "train":
+            _train(run, halves)
+        else:
+            run.model = MlpModel.load(_artifact(run, "model.json", "train"))
+            _predict(run, halves)
+    elif name == "rca":
+        if run.labels is None:
+            run.verdict_timeline = _read_verdicts(run)
+        _rca(run)
+    elif name != "select":
+        raise InvalidConfig(f"unknown stage {name!r}")
+    return run
+
+
+def _artifact(run: _Run, name: str, stage: str) -> Path:
+    path = run.out / name
+    if not path.exists():
+        raise ParseError(f"{path} not found; run the {stage} stage first")
+    return path
+
+
+def _read_csv(path: Path, header: list, types: tuple) -> list:
+    """Columns of a CSV artifact, each parsed by its entry of ``types``."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or rows[0] != header:
+        raise ParseError(f"{path}: expected header '{','.join(header)}'")
+    body = rows[1:]
+    if any(len(row) != len(header) for row in body):
+        raise ParseError(f"{path}: every row needs {len(header)} fields")
+    try:
+        return [np.array([t(row[i]) for row in body], dtype=t) for i, t in enumerate(types)]
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
+def _read_scores(run: _Run) -> ScoreMatrix:
+    """The detect stage's scores, assembled as `_detect` assembles them."""
+    vectors = []
+    for kind in KINDS:
+        path = _artifact(run, f"scores_{kind}.csv", "detect")
+        ts, values = _read_csv(path, ["timestamp", "score"], (int, float))
+        if not np.array_equal(ts, run.selected.timestamps):
+            raise ParseError(
+                f"{path}: timestamps differ from the selected data; run the detect stage again"
+            )
+        vectors.append(ScoreVector(values=values, learner=kind))
+    return assemble(vectors)
+
+
+def _read_verdicts(run: _Run) -> np.ndarray:
+    """Verdict timeline over the selected rows; rows without a verdict are 0."""
+    stage = "predict" if run.config.ensemble == "deep" else "detect"
+    path = _artifact(run, "verdicts.csv", stage)
+    header = ["timestamp", "probability", "verdict"]
+    ts, _, verdicts = _read_csv(path, header, (int, float, int))
+    known = np.isin(ts, run.selected.timestamps)
+    if not known.all():
+        raise ParseError(f"{path}: timestamp {ts[~known][0]} is not in the selected data")
+    if not np.isin(verdicts, (0, 1)).all():
+        raise ParseError(f"{path}: verdicts must be 0 or 1")
+    timeline = np.zeros(run.selected.n_samples, dtype=np.int64)
+    timeline[np.searchsorted(run.selected.timestamps, ts)] = verdicts
+    return timeline
+
+
 def _ingest(run: _Run) -> None:
     data = run.config.data
     if "generate" in data:
@@ -323,27 +412,21 @@ def _detect(run: _Run) -> None:
 
 def _ensemble(run: _Run) -> None:
     cfg = run.config
-    d = run.matrix.n_samples
     if cfg.ensemble == "deep":
-        _ensemble_deep(run)
+        halves = _split(run)
+        _train(run, halves)
+        _predict(run, halves)
+        return
+    if cfg.ensemble == "max":
+        combined = ensemble_max(run.matrix)
+    elif cfg.ensemble == "avg":
+        combined = ensemble_avg(run.matrix)
     else:
-        if cfg.ensemble == "max":
-            combined = ensemble_max(run.matrix)
-        elif cfg.ensemble == "avg":
-            combined = ensemble_avg(run.matrix)
-        else:
-            combined = ensemble_weighted(run.matrix, mi_weights(run.matrix))
-        run.report = _report_from_scores(combined, cfg.anomaly_fraction)
-        run.eval_span_labels = None if run.labels is None else run.labels.labels
-        run.verdict_timeline = run.report.verdicts.copy()
-        _write_verdicts(run, run.selected.timestamps, run.report)
-    if run.eval_span_labels is not None:
-        p, r, f1 = prf1(run.report.verdicts, run.eval_span_labels)
-        run.report = DiagnosisReport(
-            probabilities=run.report.probabilities,
-            threshold=run.report.threshold,
-            evaluation=EvaluationBlock(precision=p, recall=r, f1=f1, seconds=None),
-        )
+        combined = ensemble_weighted(run.matrix, mi_weights(run.matrix))
+    run.report = _report_from_scores(combined, cfg.anomaly_fraction)
+    run.eval_span_labels = None if run.labels is None else run.labels.labels
+    run.verdict_timeline = run.report.verdicts.copy()
+    _write_verdicts(run, run.selected.timestamps, run.report)
 
 
 def _report_from_scores(combined: ScoreVector, fraction: float) -> DiagnosisReport:
@@ -357,34 +440,41 @@ def _report_from_scores(combined: ScoreVector, fraction: float) -> DiagnosisRepo
     return DiagnosisReport(probabilities=probs, threshold=cut)
 
 
-def _ensemble_deep(run: _Run) -> None:
-    cfg = run.config
+def _split(run: _Run):
     if run.labels is None:
         raise InvalidConfig("deep ensemble requires labels for the training split")
-    (train_X, train_y), (test_X, test_y) = split(
-        run.matrix, run.labels, train_fraction=cfg.train_fraction
-    )
+    return split(run.matrix, run.labels, train_fraction=run.config.train_fraction)
+
+
+def _train(run: _Run, halves) -> None:
+    """Train half of the deep ensemble: fit the MLP on the train side."""
+    cfg = run.config
+    (train_X, train_y), _ = halves
     tc = TrainConfig(
         epochs=cfg.epochs,
         batch=cfg.batch,
         lr=cfg.lr,
         seed=derive_seed(cfg.seed, "mlp"),
     )
-    model = train_deep(
+    run.model = train_deep(
         train_X, train_y, tc, shift=cfg.shift, norm=NormStats.from_matrix(run.matrix)
     )
-    run.model = model
-    model.save(run.out / "model.json")
+    run.model.save(run.out / "model.json")
     run.track("model.json")
-    fragment = predict_deep(model, test_X)
+
+
+def _predict(run: _Run, halves) -> None:
+    """Predict half of the deep ensemble: verdicts on the test side."""
+    (train_X, _), (test_X, test_y) = halves
     cut = train_X.shape[0]
-    s = cfg.shift
+    s = run.model.shift
     # verdict for input row t targets time t+s; evaluate where the target exists
     usable = test_X.shape[0] - s
     if usable <= 0:
         raise InvalidConfig(f"shift {s} leaves no evaluable test rows")
+    fragment = predict_deep(run.model, test_X)
     probs = fragment.probabilities[:usable]
-    run.report = DiagnosisReport(probabilities=probs, threshold=model.threshold)
+    run.report = DiagnosisReport(probabilities=probs, threshold=run.model.threshold)
     run.eval_span_labels = test_y[s:]
     timeline = np.zeros(run.matrix.n_samples, dtype=np.int64)
     timeline[cut + s : cut + s + usable] = run.report.verdicts
@@ -478,17 +568,20 @@ def _rca(run: _Run) -> None:
         }
         info["avg"] = avg_at_k(ranking, run.truth.root_causes, 5)
     run.rca_info = info
-    run.report = DiagnosisReport(
-        probabilities=run.report.probabilities,
-        threshold=run.report.threshold,
-        evaluation=run.report.evaluation,
-        root_causes=run.root_causes,
-    )
 
 
 def _report(run: _Run) -> None:
     cfg = run.config
-    ev = run.report.evaluation
+    ev = None
+    if run.eval_span_labels is not None:
+        p, r, f1 = prf1(run.report.verdicts, run.eval_span_labels)
+        ev = EvaluationBlock(precision=p, recall=r, f1=f1, seconds=None)
+    run.report = DiagnosisReport(
+        probabilities=run.report.probabilities,
+        threshold=run.report.threshold,
+        evaluation=ev,
+        root_causes=run.root_causes,
+    )
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "manifest": {

@@ -87,9 +87,6 @@ class CorrelationResult:
                     repr(float(self.p[i])), int(self.retained[i]),
                 ])
 
-    def retained_names(self) -> tuple[str, ...]:
-        return tuple(n for n, keep in zip(self.names, self.retained) if keep)
-
 
 def _two_sided_t_pvalue(t: np.ndarray, dof: int) -> np.ndarray:
     """P(|T_dof| >= |t|) via the regularized incomplete beta function."""

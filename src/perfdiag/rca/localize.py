@@ -52,19 +52,6 @@ class RootCauseRanking:
             for rank, (node, count) in enumerate(self.entries, start=1):
                 w.writerow([rank, node, count])
 
-    def to_dict(self) -> dict:
-        return {
-            "entries": [[n, c] for n, c in self.entries],
-            "total_walks": self.total_walks,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RootCauseRanking":
-        return cls(
-            entries=tuple((n, c) for n, c in d["entries"]),
-            total_walks=int(d["total_walks"]),
-        )
-
 
 def random_walk(
     graph: CausalGraph,

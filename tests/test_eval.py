@@ -1,18 +1,10 @@
-"""Detection metrics, rank aggregation, robustness scores, CSV export."""
-
-import csv
+"""Detection metrics, rank aggregation, robustness scores."""
 
 import numpy as np
 import pytest
 
 from perfdiag.errors import LengthMismatch, MissingRank
-from perfdiag.evaluation import (
-    MethodResult,
-    prf1,
-    ranks_from_f1,
-    results_to_csv,
-    robustness,
-)
+from perfdiag.evaluation import prf1, ranks_from_f1, robustness
 
 
 # --- precision / recall / f1 ----------------------------------------------
@@ -98,21 +90,3 @@ def test_robustness_validation():
         robustness({"a": (1, 2), "b": (1,)})
     with pytest.raises(MissingRank):
         robustness({"a": ()})
-
-
-# --- csv ------------------------------------------------------------------
-
-def test_results_csv_round_trip(tmp_path):
-    results = [
-        MethodResult("knn", "synth", 0.5, 0.25, 1.0 / 3.0, seconds=1.25),
-        MethodResult("lof", "synth", 1.0, 1.0, 1.0, seconds=None),
-    ]
-    path = tmp_path / "results.csv"
-    results_to_csv(path, results, {"knn": 2.0, "lof": 1.0})
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [r["method"] for r in rows] == ["knn", "lof"]
-    assert float(rows[0]["f1"]) == 1.0 / 3.0
-    assert float(rows[0]["rank"]) == 2.0
-    assert float(rows[0]["seconds"]) == 1.25
-    assert rows[1]["seconds"] == ""

@@ -2,11 +2,12 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
-from perfdiag.cli import main, split_point
+from perfdiag.cli import main
 from perfdiag.errors import InvalidConfig, PipelineStageError
 from perfdiag.pipeline import (
     PipelineConfig,
@@ -76,13 +77,6 @@ def test_load_config_applies_flag_overrides(tmp_path):
     assert cfg.ensemble == "max"
     assert cfg.select_method == "pca"
     assert cfg.walks == 42
-
-
-def test_split_point_ceil_rule():
-    assert split_point(10, 0.5) == 5
-    assert split_point(10, 0.9) == 9
-    assert split_point(3, 0.5) == 2
-    assert split_point(10, 0.3) == 3
 
 
 # --- window helpers -------------------------------------------------------
@@ -163,8 +157,9 @@ def test_deep_run_writes_model_and_test_side_verdicts(tmp_path):
         rows = list(csv.DictReader(fh))
     # deep verdicts cover only the chronological test half; generated
     # timestamps run at interval 1 so row index equals timestamp
-    assert len(rows) == GEN["n_samples"] - split_point(GEN["n_samples"], 0.5)
-    assert int(rows[0]["timestamp"]) == split_point(GEN["n_samples"], 0.5)
+    cut = math.ceil(0.5 * GEN["n_samples"] - 1e-9)
+    assert len(rows) == GEN["n_samples"] - cut
+    assert int(rows[0]["timestamp"]) == cut
 
 
 # --- cli subcommands ------------------------------------------------------
@@ -187,20 +182,113 @@ def test_cli_stage_artifacts(tmp_path, capsys):
     assert "selected" in capsys.readouterr().out
 
 
-def test_cli_stagewise_deep_matches_full_run(tmp_path):
-    doc = {
-        "data": {"generate": GEN}, "seed": 11, "ensemble": "deep",
-        "detect": {"anomaly_fraction": 0.15},
-    }
-    cfg = write_config(tmp_path, doc)
+def csv_inputs(tmp_path, labels):
+    """Generated data as CSV; labels "none", "zero" or "long" (40 extra rows)."""
+    src = tmp_path / "src"
+    cfg = write_config(tmp_path, {"data": {"generate": GEN}, "seed": 11}, "gen.json")
+    assert main(["gen", "--config", str(cfg), "--out", str(src)]) == 0
+    data = {"csv": str(src / "data.csv")}
+    if labels == "none":
+        return data
+    lines = (src / "labels.csv").read_text().splitlines()
+    if labels == "zero":
+        lines[1:] = [line.split(",")[0] + ",0" for line in lines[1:]]
+    else:  # generated timestamps step by 1
+        last = int(lines[-1].split(",")[0])
+        lines += [f"{last + k},0" for k in range(1, 41)]
+    (src / "labels.csv").write_text("\n".join(lines) + "\n")
+    data["labels"] = str(src / "labels.csv")
+    return data
+
+
+STAGE_CASES = {
+    "avg": ({"ensemble": "avg"}, None),
+    "weighted": ({"ensemble": "weighted"}, None),
+    "deep": ({"ensemble": "deep", "detect": {"anomaly_fraction": 0.15}}, None),
+    # at seed 11 the indicator of the unlabeled case has no graph neighbour
+    "unlabeled-avg": ({"ensemble": "avg", "select": {"method": "none"}, "seed": 1}, "none"),
+    "long-labels-deep": ({"ensemble": "deep"}, "long"),
+}
+
+
+@pytest.mark.parametrize("case", list(STAGE_CASES))
+def test_cli_stages_match_full_run(tmp_path, case, capsys):
+    settings, labels = STAGE_CASES[case]
+    data = {"generate": GEN} if labels is None else csv_inputs(tmp_path, labels)
+    cfg = write_config(tmp_path, {"data": data, "seed": 11, **settings})
     full = tmp_path / "full"
     assert main(["run", "--config", str(cfg), "--out", str(full)]) == 0
     stages = tmp_path / "stages"
-    for cmd in ("gen", "select", "detect", "train", "predict"):
-        assert main([cmd, "--config", str(cfg), "--out", str(stages)]) == 0
-    assert (
-        (full / "verdicts.csv").read_bytes() == (stages / "verdicts.csv").read_bytes()
+    commands = ["select", "detect", "rca"]
+    if labels is None:
+        commands.insert(0, "gen")
+    if settings["ensemble"] == "deep":
+        commands[-1:-1] = ["train", "predict"]
+    for cmd in commands:
+        assert main([cmd, "--config", str(cfg), "--out", str(stages)]) == 0, cmd
+    names = ["verdicts.csv", "graph.json", "graph.txt", "ranking.csv", "selected.json"]
+    if settings["ensemble"] == "deep":
+        names.append("model.json")
+    for name in names:
+        assert (full / name).read_bytes() == (stages / name).read_bytes(), name
+    assert len((full / "ranking.csv").read_text().splitlines()) > 1
+    capsys.readouterr()
+
+
+def stage_error(argv, capsys):
+    assert main(argv) == 1
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+
+
+def test_cli_predict_before_train_names_the_missing_model(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"data": {"generate": GEN}, "ensemble": "deep"})
+    out = ["--config", str(cfg), "--out", str(tmp_path / "o")]
+    assert main(["select", *out]) == 0
+    err = stage_error(["predict", *out], capsys)
+    assert err["type"] == "ParseError"
+    assert "scores_iforest.csv" in err["message"] and "detect" in err["message"]
+    assert main(["detect", *out]) == 0
+    err = stage_error(["predict", *out], capsys)
+    assert err["stage"] == "predict" and err["type"] == "ParseError"
+    assert "model.json" in err["message"] and "train stage first" in err["message"]
+
+
+def test_cli_rejects_scores_from_other_data(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"data": {"generate": GEN}, "ensemble": "deep"})
+    out = ["--config", str(cfg), "--out", str(tmp_path / "o")]
+    assert main(["detect", *out]) == 0
+    path = tmp_path / "o" / "scores_knn.csv"
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-5]))
+    err = stage_error(["train", *out], capsys)
+    assert err["type"] == "ParseError"
+    assert "scores_knn.csv" in err["message"] and "timestamps differ" in err["message"]
+
+
+def test_cli_rca_rejects_foreign_verdict_timestamp(tmp_path, capsys):
+    data = csv_inputs(tmp_path, "none")
+    cfg = write_config(
+        tmp_path, {"data": data, "ensemble": "avg", "select": {"method": "none"}}
     )
+    out = ["--config", str(cfg), "--out", str(tmp_path / "o")]
+    assert main(["detect", *out]) == 0
+    with open(tmp_path / "o" / "verdicts.csv", "a") as fh:
+        fh.write("999999,0.5,1\n")
+    err = stage_error(["rca", *out], capsys)
+    assert err["type"] == "ParseError"
+    assert "999999" in err["message"] and "verdicts.csv" in err["message"]
+
+
+def test_cli_rca_without_anomaly_window_matches_run(tmp_path, capsys):
+    data = csv_inputs(tmp_path, "zero")
+    cfg = write_config(
+        tmp_path, {"data": data, "ensemble": "avg", "select": {"method": "none"}}
+    )
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "full")]) == 0
+    assert json.loads((tmp_path / "full" / "report.json").read_text())["rca"] is None
+    capsys.readouterr()
+    assert main(["rca", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert "no anomaly window" in capsys.readouterr().out
+    assert not (tmp_path / "o" / "ranking.csv").exists()
 
 
 def test_cli_rca_on_explicit_graph(tmp_path, capsys):

@@ -402,7 +402,6 @@ def test_ranking_validation():
 
 def test_ranking_round_trip_and_csv(tmp_path):
     ranking = RootCauseRanking(entries=(("B", 6), ("A", 4)), total_walks=10)
-    assert RootCauseRanking.from_dict(ranking.to_dict()) == ranking
     assert ranking.names() == ("B", "A")
     path = tmp_path / "ranking.csv"
     ranking.to_csv(path)
