@@ -4,6 +4,12 @@ Architecture is input -> 20 ReLU -> 20 ReLU -> 1 sigmoid giving P(anomaly),
 trained with binary cross-entropy and the Adam optimizer. A prediction
 shift s trains on pairs (scores at t, label at t+s) so the model forecasts
 s samples ahead. Training is fully deterministic in (data, config).
+
+``train_deep`` keeps W1..b3 as views into one flat float64 buffer and runs
+one Adam step per minibatch over the flat parameter, gradient and moment
+buffers with in-place ufuncs, in the operation order of a per-array update,
+so the weights are bit-identical to it. Each epoch gathers the shuffled
+rows once; its minibatches are contiguous slices.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import numpy as np
 
 from .core import DiagnosisReport, ScoreMatrix
 from .errors import (
+    InvalidConfig,
     NonFiniteLoss,
     ShapeMismatch,
     SingleClassTraining,
@@ -39,6 +46,14 @@ class TrainConfig:
     eps: float = 1e-8
     hidden: int = 20
     seed: int = 0
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise InvalidConfig(f"train.epochs must be >= 1, got {self.epochs}")
+        if self.batch < 1:
+            raise InvalidConfig(f"train.batch must be >= 1, got {self.batch}")
+        if not (np.isfinite(self.lr) and self.lr > 0.0):
+            raise InvalidConfig(f"train.lr must be finite and > 0, got {self.lr}")
 
     def to_dict(self) -> dict:
         return {
@@ -192,12 +207,9 @@ def forward(params: Params, X: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below: exp never overflows
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def loss_and_grads(params: Params, X: np.ndarray, y: np.ndarray) -> tuple[float, Params]:
@@ -210,7 +222,7 @@ def loss_and_grads(params: Params, X: np.ndarray, y: np.ndarray) -> tuple[float,
     h2 = np.maximum(z2, 0.0)
     z3 = (h2 @ w3 + b3)[:, 0]
     # stable BCE on logits: softplus(z) - y*z
-    loss = float(np.mean(np.logaddexp(0.0, z3) - y * z3))
+    loss = float((np.logaddexp(0.0, z3) - y * z3).sum() / n)
     p = _sigmoid(z3)
     dz3 = ((p - y) / n)[:, None]
     gw3 = h2.T @ dz3
@@ -261,26 +273,48 @@ def train_deep(
         raise SingleClassTraining(
             f"training labels are all {int(classes[0])}; both classes required"
         )
-    params = [p.copy() for p in init_params(X.shape[1], config.hidden, config.seed)]
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
+    init = init_params(X.shape[1], config.hidden, config.seed)
+    # every parameter array is a view into one flat buffer, so one Adam
+    # step updates all of them; m and v share its layout
+    theta = np.concatenate(init, axis=None)
+    cuts = np.cumsum([p.size for p in init])[:-1]
+    params = tuple(
+        part.reshape(p.shape) for part, p in zip(np.split(theta, cuts), init)
+    )
+    g = np.empty_like(theta)
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    tmp = np.empty_like(theta)
+    b1, b2 = config.beta1, config.beta2
     shuffle_rng = derived_rng(config.seed, "mlp-shuffle")
     step = 0
     for _ in range(config.epochs):
         order = shuffle_rng.permutation(n)
+        Xs, ys = X[order], y[order]
         for start in range(0, n, config.batch):
-            rows = order[start : start + config.batch]
-            loss, grads = loss_and_grads(tuple(params), X[rows], y[rows])
+            stop = start + config.batch
+            loss, grads = loss_and_grads(params, Xs[start:stop], ys[start:stop])
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"loss became {loss} at step {step}")
             step += 1
-            for i, g in enumerate(grads):
-                m[i] = config.beta1 * m[i] + (1.0 - config.beta1) * g
-                v[i] = config.beta2 * v[i] + (1.0 - config.beta2) * g * g
-                m_hat = m[i] / (1.0 - config.beta1**step)
-                v_hat = v[i] / (1.0 - config.beta2**step)
-                params[i] = params[i] - config.lr * m_hat / (np.sqrt(v_hat) + config.eps)
-    return MlpModel(params=tuple(params), config=config, shift=shift, norm=norm)
+            np.concatenate(grads, axis=None, out=g)
+            # m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=tmp)
+            m += tmp
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=tmp)
+            tmp *= g
+            v += tmp
+            # theta -= (lr*m_hat) / (sqrt(v_hat) + eps), with g as the denominator
+            np.divide(v, 1.0 - b2**step, out=g)
+            np.sqrt(g, out=g)
+            g += config.eps
+            np.divide(m, 1.0 - b1**step, out=tmp)
+            tmp *= config.lr
+            tmp /= g
+            theta -= tmp
+    return MlpModel(params=params, config=config, shift=shift, norm=norm)
 
 
 def predict_deep(model: MlpModel, M) -> DiagnosisReport:

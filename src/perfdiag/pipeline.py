@@ -92,6 +92,8 @@ class PipelineConfig:
             raise InvalidConfig("shift must be >= 0")
         if self.walks < 1:
             raise InvalidConfig("walks must be >= 1")
+        # the checks a direct train_deep call makes, at config load
+        TrainConfig(epochs=self.epochs, batch=self.batch, lr=self.lr)
         if not -(2**63) <= self.seed < 2**64:
             raise InvalidConfig("seed must fit in 64 bits")
         if not isinstance(self.data, dict) or not (
@@ -103,17 +105,17 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
+        _check_keys(doc, "config", {
+            "data", "out", "seed", "select", "detect", "ensemble",
+            "train_fraction", "shift", "rca", "train",
+        })
         sel = doc.get("select", {})
         det = doc.get("detect", {})
         rca = doc.get("rca", {})
         train = doc.get("train", {})
-        known = {
-            "data", "out", "seed", "select", "detect", "ensemble",
-            "train_fraction", "shift", "rca", "train",
-        }
-        unknown = set(doc) - known
-        if unknown:
-            raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
+        _check_keys(sel, "select", {"method", "r_min", "p_max", "variance", "n_fixed"})
+        _check_keys(rca, "rca", {"alpha", "walks", "length"})
+        _check_keys(train, "train", {"epochs", "batch", "lr"})
         return cls(
             data=doc.get("data", {}),
             out=doc.get("out", "out"),
@@ -162,6 +164,14 @@ class PipelineConfig:
         # the output directory is not part of the experiment identity
         doc = {k: v for k, v in self.to_dict().items() if k != "out"}
         return hashlib.sha256(dumps_json(doc).encode()).hexdigest()
+
+
+def _check_keys(section, where: str, known: set) -> None:
+    if not isinstance(section, dict):
+        raise InvalidConfig(f"{where} must be a JSON object")
+    unknown = set(section) - known
+    if unknown:
+        raise InvalidConfig(f"unknown {where} keys: {sorted(unknown)}")
 
 
 def load_config(path, overrides: Optional[dict] = None) -> PipelineConfig:

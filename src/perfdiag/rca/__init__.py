@@ -1,6 +1,6 @@
 """Causal-graph construction and root-cause localization."""
 
-from .graph import CausalGraph, ci_test, partial_correlation, pc_build
+from .graph import CausalGraph, partial_correlation, pc_build
 from .localize import (
     INDICATOR,
     RootCauseRanking,
@@ -16,7 +16,6 @@ __all__ = [
     "RootCauseRanking",
     "ac_at_k",
     "avg_at_k",
-    "ci_test",
     "localize",
     "partial_correlation",
     "pc_build",

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from ..errors import InvalidConfig, SingularSubmatrixWarning, TooFewSamples
+from ..errors import InvalidConfig, SingularSubmatrixWarning
 
 # conditioning sets per batched inverse: an edge's first chunk is small
 # because most edges fall at one of their first sets; later chunks double up
@@ -181,31 +181,6 @@ def _independent(rho: np.ndarray, dof: int, q: float) -> np.ndarray:
     r = np.where(inside, rho, 0.0)
     z = 0.5 * np.log((1.0 + r) / (1.0 - r))
     return inside & (np.sqrt(dof) * np.abs(z) <= q)
-
-
-def ci_test(
-    data: np.ndarray,
-    i: int,
-    j: int,
-    S: Iterable[int] = (),
-    alpha: float = 0.05,
-) -> bool:
-    """True when columns i and j are independent given columns S.
-
-    Fisher z transform of the partial correlation: the statistic
-    sqrt(d - |S| - 3) * |z| is compared against the two-sided Gaussian
-    quantile at level alpha.
-    """
-    S = tuple(S)
-    if i == j or i in S or j in S:
-        raise InvalidConfig(f"columns must be distinct: i={i}, j={j}, S={S}")
-    d = data.shape[0]
-    if d - len(S) - 3 <= 0:
-        raise TooFewSamples(
-            f"need d > |S| + 3 samples for the Fisher z test (d={d}, |S|={len(S)})"
-        )
-    corr = _correlation_matrix(data)
-    return _ci_from_corr(corr, d, i, j, S, ndtri(1.0 - alpha / 2.0))
 
 
 def _ci_from_corr(

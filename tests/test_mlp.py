@@ -7,6 +7,7 @@ from perfdiag.core import ScoreMatrix
 from perfdiag.detectors import ScoreVector
 from perfdiag.ensemble import assemble
 from perfdiag.errors import (
+    InvalidConfig,
     NonFiniteLoss,
     ShapeMismatch,
     SingleClassTraining,
@@ -16,6 +17,7 @@ from perfdiag.mlp import (
     MlpModel,
     NormStats,
     TrainConfig,
+    _sigmoid,
     forward,
     init_params,
     loss_and_grads,
@@ -23,6 +25,7 @@ from perfdiag.mlp import (
     shifted_pairs,
     train_deep,
 )
+from perfdiag.seeding import derived_rng
 
 
 def zero_params(n_in=2, h=20):
@@ -82,6 +85,28 @@ def test_forward_handles_extreme_logits():
     p = forward(params, np.array([[50.0], [0.0]]))
     assert p[0] == 1.0
     assert p[1] == 0.5
+
+
+def masked_sigmoid(z):
+    """The sigmoid evaluated separately on the two sides of 0 via boolean masks."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_matches_masked_reference_exactly():
+    special = np.array([800.0, -800.0, 0.0, -0.0, 5e-324, -5e-324,
+                        np.inf, -np.inf, np.nan])
+    random = 30.0 * np.random.default_rng(0).standard_normal(100_000)
+    for z in (special, random):
+        got, want = _sigmoid(z), masked_sigmoid(z)
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        np.testing.assert_array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+        np.testing.assert_array_equal(np.signbit(got[~nan]), np.signbit(want[~nan]))
 
 
 def test_predict_rejects_wrong_width():
@@ -188,6 +213,62 @@ def test_shift_is_recorded_and_changes_the_model():
     assert plain.shift == 0
     assert shifted.shift == 3
     assert plain != shifted
+
+
+def reference_train(values, labels, config, shift):
+    """Adam over each parameter array separately, gathering X[rows] per step."""
+    X, y = shifted_pairs(np.asarray(values, dtype=np.float64),
+                         np.asarray(labels, dtype=np.float64), shift)
+    n = X.shape[0]
+    params = [p.copy() for p in init_params(X.shape[1], config.hidden, config.seed)]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    shuffle_rng = derived_rng(config.seed, "mlp-shuffle")
+    step = 0
+    for _ in range(config.epochs):
+        order = shuffle_rng.permutation(n)
+        for start in range(0, n, config.batch):
+            rows = order[start : start + config.batch]
+            _, grads = loss_and_grads(tuple(params), X[rows], y[rows])
+            step += 1
+            for i, g in enumerate(grads):
+                m[i] = config.beta1 * m[i] + (1.0 - config.beta1) * g
+                v[i] = config.beta2 * v[i] + (1.0 - config.beta2) * g * g
+                m_hat = m[i] / (1.0 - config.beta1**step)
+                v_hat = v[i] / (1.0 - config.beta2**step)
+                params[i] = params[i] - config.lr * m_hat / (np.sqrt(v_hat) + config.eps)
+    return params
+
+
+@pytest.mark.parametrize(
+    "rows, batch, shift, seed",
+    [
+        (117, 20, 0, 0),  # last minibatch of each epoch holds 17 rows
+        (117, 20, 3, 1),
+        (40, 40, 0, 1),  # one minibatch per epoch
+        (43, 40, 3, 0),
+    ],
+)
+def test_training_matches_per_array_reference_bit_for_bit(rows, batch, shift, seed):
+    rng = np.random.default_rng(rows + seed)
+    X = rng.standard_normal((rows, 4))
+    y = (X[:, 0] + 0.5 * rng.standard_normal(rows) > 0.5).astype(np.float64)
+    config = TrainConfig(epochs=30, batch=batch, seed=seed)
+    model = train_deep(X, y, config, shift=shift)
+    expected = reference_train(X, y, config, shift)
+    for got, want in zip(model.params, expected, strict=True):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"batch": 0}, {"batch": -5}, {"epochs": 0},
+     {"lr": 0.0}, {"lr": -1e-3}, {"lr": float("nan")}, {"lr": float("inf")}],
+)
+def test_training_rejects_bad_config(bad):
+    X, y = toy_data(0)
+    with pytest.raises(InvalidConfig):
+        train_deep(X, y, TrainConfig(**bad))
 
 
 # --- persistence ----------------------------------------------------------

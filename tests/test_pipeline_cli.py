@@ -44,6 +44,23 @@ def test_config_rejects_unknown_keys():
         PipelineConfig.from_dict({"data": {"generate": GEN}, "detectors": {}})
 
 
+@pytest.mark.parametrize("section, key", [("train", "hiden"), ("select", "rmin"), ("rca", "walk")])
+def test_config_rejects_unknown_section_keys(section, key):
+    with pytest.raises(InvalidConfig, match=key):
+        PipelineConfig.from_dict({"data": {"generate": GEN}, section: {key: 5}})
+
+
+@pytest.mark.parametrize(
+    "train",
+    [{"batch": 0}, {"batch": -5}, {"epochs": 0},
+     {"lr": 0.0}, {"lr": -1e-3}, {"lr": float("nan")}, {"lr": float("inf")}],
+)
+def test_config_rejects_bad_train_values(tmp_path, train):
+    path = write_config(tmp_path, {"data": {"generate": GEN}, "train": train})
+    with pytest.raises(InvalidConfig, match="train"):
+        load_config(path)
+
+
 def test_config_requires_a_data_source():
     with pytest.raises(InvalidConfig):
         PipelineConfig(data={})

@@ -12,13 +12,11 @@ from perfdiag.errors import (
     EmptyGroundTruth,
     InvalidConfig,
     NoPredecessorsWarning,
-    TooFewSamples,
 )
 from perfdiag.rca.graph import (
     CausalGraph,
     _correlation_matrix,
     _skeleton,
-    ci_test,
     partial_correlation,
     pc_build,
 )
@@ -80,27 +78,27 @@ def test_graph_edge_list_text():
 
 # --- conditional independence ---------------------------------------------
 
-def test_ci_test_flags_dependent_pairs():
+def test_fisher_z_keeps_dependent_edge():
     hits = 0
     for seed in range(20):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(500)
         y = x + 0.5 * rng.standard_normal(500)
-        hits += not ci_test(np.column_stack([x, y]), 0, 1)
+        hits += pc_build(np.column_stack([x, y]), ("x", "y")).undirected == (("x", "y"),)
     assert hits >= 18
 
 
-def test_ci_test_passes_independent_pairs():
+def test_fisher_z_drops_independent_edge():
     hits = 0
     for seed in range(20):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(500)
         z = rng.standard_normal(500)
-        hits += ci_test(np.column_stack([x, z]), 0, 1)
+        hits += pc_build(np.column_stack([x, z]), ("x", "z")).undirected == ()
     assert hits >= 18
 
 
-def test_ci_test_chain_screens_off():
+def test_fisher_z_chain_screens_off():
     # x -> m -> w: conditioning on the middle makes the ends independent
     hits = 0
     for seed in range(20):
@@ -109,19 +107,11 @@ def test_ci_test_chain_screens_off():
         m = x + 0.3 * rng.standard_normal(500)
         w = m + 0.3 * rng.standard_normal(500)
         data = np.column_stack([x, m, w])
-        assert not ci_test(data, 0, 2)
-        hits += ci_test(data, 0, 2, [1])
+        adj, sepset = _skeleton(_correlation_matrix(data), 500, ("x", "m", "w"), 0.05)
+        # the ends are dependent at level 0, so the edge never falls on S = ()
+        assert sepset.get(("w", "x")) != ()
+        hits += adj["x"] == {"m"} and sepset.get(("w", "x")) == ("m",)
     assert hits >= 18
-
-
-def test_ci_test_validation():
-    data = np.random.default_rng(0).standard_normal((50, 3))
-    with pytest.raises(InvalidConfig):
-        ci_test(data, 1, 1)
-    with pytest.raises(InvalidConfig):
-        ci_test(data, 0, 1, [1])
-    with pytest.raises(TooFewSamples):
-        ci_test(data[:4], 0, 1, [2])
 
 
 def test_partial_correlation_matches_residual_regression():
