@@ -182,9 +182,8 @@ class SelectedFrame:
         )
 
     def to_dict(self) -> dict:
+        """How the columns were chosen; the selected matrix itself is left out."""
         return {
-            "timestamps": self.timestamps.tolist(),
-            "values": self.values.tolist(),
             "columns": list(self.columns),
             "method": self.method,
             "source_indices": list(self.source_indices) if self.source_indices is not None else None,

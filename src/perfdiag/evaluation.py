@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import LengthMismatch, MissingRank
 
@@ -35,7 +34,9 @@ def ranks_from_f1(f1_by_method: Mapping[str, float]) -> dict[str, float]:
     """Rank methods 1..n by F1 descending; ties share fractional ranks."""
     methods = sorted(f1_by_method)
     scores = np.array([f1_by_method[m] for m in methods])
-    ranks = rankdata(-scores, method="average")
+    _, group, counts = np.unique(-scores, return_inverse=True, return_counts=True)
+    # a group of c ties ending at rank e shares the mean rank e - (c - 1) / 2
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     return {m: float(r) for m, r in zip(methods, ranks)}
 
 

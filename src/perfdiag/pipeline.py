@@ -50,6 +50,7 @@ from .seeding import derive_seed
 
 SELECT_METHODS = ("correlation", "pca", "none")
 ENSEMBLES = ("max", "avg", "weighted", "deep")
+DETECTOR_SETTINGS = {"n_trees", "subsample", "knn_k", "lof_k", "nu", "gamma"}
 REPORT_SCHEMA_VERSION = 1
 
 
@@ -92,6 +93,7 @@ class PipelineConfig:
             raise InvalidConfig("shift must be >= 0")
         if self.walks < 1:
             raise InvalidConfig("walks must be >= 1")
+        _check_keys(self.detector_overrides, "detect", DETECTOR_SETTINGS)
         # the checks a direct train_deep call makes, at config load
         TrainConfig(epochs=self.epochs, batch=self.batch, lr=self.lr)
         if not -(2**63) <= self.seed < 2**64:
@@ -114,6 +116,7 @@ class PipelineConfig:
         rca = doc.get("rca", {})
         train = doc.get("train", {})
         _check_keys(sel, "select", {"method", "r_min", "p_max", "variance", "n_fixed"})
+        _check_keys(det, "detect", DETECTOR_SETTINGS | {"anomaly_fraction"})
         _check_keys(rca, "rca", {"alpha", "walks", "length"})
         _check_keys(train, "train", {"epochs", "batch", "lr"})
         return cls(
@@ -397,16 +400,11 @@ def _select(run: _Run) -> None:
 
 def _detector_spec(run: _Run, kind: str) -> DetectorSpec:
     cfg = run.config
-    allowed = {"n_trees", "subsample", "knn_k", "lof_k", "nu", "gamma"}
-    overrides = {k: v for k, v in cfg.detector_overrides.items() if k in allowed}
-    unknown = set(cfg.detector_overrides) - allowed
-    if unknown:
-        raise InvalidConfig(f"unknown detector settings: {sorted(unknown)}")
     return DetectorSpec(
         kind=kind,
         anomaly_fraction=cfg.anomaly_fraction,
         seed=derive_seed(cfg.seed, "detectors"),
-        **overrides,
+        **cfg.detector_overrides,
     )
 
 

@@ -9,12 +9,12 @@ conventions are used throughout so normalization and correlation agree.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import betainc
 
 from .core import LabelSeries, MetricFrame, SelectedFrame
 from .errors import (
@@ -22,6 +22,7 @@ from .errors import (
     ConstantColumnWarning,
     DegenerateCovariance,
     InvalidConfig,
+    NumericalFailure,
     ShapeMismatch,
     TooFewSamples,
 )
@@ -88,13 +89,70 @@ class CorrelationResult:
                 ])
 
 
+def _log_gamma_ratio(a: float, b: float) -> float:
+    """log(Gamma(a + b) / Gamma(a)) for a, b > 0.
+
+    For large a the two lgamma values agree in most of their digits, so their
+    difference is taken from Stirling's series instead, without cancellation.
+    """
+    if a < 40.0:
+        return math.lgamma(a + b) - math.lgamma(a)
+
+    def correction(z: float) -> float:  # lgamma(z) minus its Stirling form
+        z2 = z * z
+        return (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * z2)) / z2) / z2) / z
+
+    return (
+        (a - 0.5) * math.log1p(b / a) + b * math.log(a + b) - b
+        + (correction(a + b) - correction(a))
+    )
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of I_x(a, b), by the modified Lentz method.
+
+    Numerical Recipes, 3rd ed., section 6.4; converges fast for
+    x < (a + 1) / (a + b + 2).
+    """
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 10_000):
+        for num in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            return h
+    raise NumericalFailure(f"incomplete beta did not converge at a={a}, b={b}, x={x}")
+
+
+def _betainc(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta function I_x(a, b) for a, b > 0."""
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    # log of x^a (1 - x)^b / B(a, b)
+    log_front = (
+        a * math.log(x) + b * math.log1p(-x) + _log_gamma_ratio(a, b) - math.lgamma(b)
+    )
+    if x < (a + 1.0) / (a + b + 2.0):
+        return math.exp(log_front) * _beta_fraction(a, b, x) / a
+    return 1.0 - math.exp(log_front) * _beta_fraction(b, a, 1.0 - x) / b
+
+
 def _two_sided_t_pvalue(t: np.ndarray, dof: int) -> np.ndarray:
     """P(|T_dof| >= |t|) via the regularized incomplete beta function."""
     t = np.asarray(t, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = dof / (dof + t * t)
-    p = np.where(np.isinf(t), 0.0, betainc(dof / 2.0, 0.5, np.clip(x, 0.0, 1.0)))
-    return p
+    x = dof / (dof + t * t)  # 0 at t = +-inf
+    return np.vectorize(_betainc, otypes=[np.float64])(dof / 2.0, 0.5, x)
 
 
 def correlate_select(

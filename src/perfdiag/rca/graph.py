@@ -20,10 +20,10 @@ import warnings
 from dataclasses import dataclass
 from itertools import combinations, islice
 from pathlib import Path
+from statistics import NormalDist
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from ..errors import InvalidConfig, SingularSubmatrixWarning
 
@@ -174,8 +174,8 @@ def _partial_rho(prec: np.ndarray) -> np.ndarray:
 def _independent(rho: np.ndarray, dof: int, q: float) -> np.ndarray:
     """Fisher z decision per entry: sqrt(dof) * |atanh(rho)| <= q.
 
-    |rho| = 1 and NaN count as dependent. ``q`` is the two-sided Gaussian
-    quantile ndtri(1 - alpha / 2) and ``dof`` is d - |S| - 3.
+    |rho| = 1 and NaN count as dependent. ``q`` is ``_z_quantile(alpha)``
+    and ``dof`` is d - |S| - 3.
     """
     inside = np.abs(rho) < 1.0
     r = np.where(inside, rho, 0.0)
@@ -244,6 +244,11 @@ def _first_independent(
     return None
 
 
+def _z_quantile(alpha: float) -> float:
+    """Two-sided standard normal quantile: Phi^-1(1 - alpha / 2)."""
+    return NormalDist().inv_cdf(1.0 - alpha / 2.0)
+
+
 def _skeleton(
     corr: np.ndarray, d: int, names: tuple[str, ...], alpha: float
 ) -> tuple[dict[str, set[str]], dict[tuple[str, str], tuple[str, ...]]]:
@@ -253,7 +258,7 @@ def _skeleton(
     in combination order of the sorted names, found independent; the
     removal takes effect immediately.
     """
-    q = ndtri(1.0 - alpha / 2.0)
+    q = _z_quantile(alpha)
     col = {name: k for k, name in enumerate(names)}
     adj: dict[str, set[str]] = {n: set(names) - {n} for n in names}
     sepset: dict[tuple[str, str], tuple[str, ...]] = {}

@@ -61,6 +61,11 @@ def test_ranks_descending_by_f1():
 def test_ranks_ties_share_fractional_rank():
     ranks = ranks_from_f1({"a": 0.9, "b": 0.9, "c": 0.5})
     assert ranks == {"a": 1.5, "b": 1.5, "c": 3.0}
+    # a two-way and a three-way tie; recorded from scipy.stats.rankdata
+    ranks = ranks_from_f1(
+        {"a": 0.9, "b": 0.9, "c": 0.5, "d": 0.7, "e": 0.7, "f": 0.7, "g": 0.1}
+    )
+    assert ranks == {"a": 1.5, "b": 1.5, "c": 6.0, "d": 4.0, "e": 4.0, "f": 4.0, "g": 7.0}
 
 
 # --- robustness -----------------------------------------------------------

@@ -3,10 +3,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import perfdiag
 from perfdiag.cli import main
 from perfdiag.errors import InvalidConfig, PipelineStageError
 from perfdiag.pipeline import (
@@ -44,7 +49,10 @@ def test_config_rejects_unknown_keys():
         PipelineConfig.from_dict({"data": {"generate": GEN}, "detectors": {}})
 
 
-@pytest.mark.parametrize("section, key", [("train", "hiden"), ("select", "rmin"), ("rca", "walk")])
+@pytest.mark.parametrize(
+    "section, key",
+    [("train", "hiden"), ("select", "rmin"), ("rca", "walk"), ("detect", "knn_kk")],
+)
 def test_config_rejects_unknown_section_keys(section, key):
     with pytest.raises(InvalidConfig, match=key):
         PipelineConfig.from_dict({"data": {"generate": GEN}, section: {key: 5}})
@@ -59,6 +67,11 @@ def test_config_rejects_bad_train_values(tmp_path, train):
     path = write_config(tmp_path, {"data": {"generate": GEN}, "train": train})
     with pytest.raises(InvalidConfig, match="train"):
         load_config(path)
+
+
+def test_config_rejects_unknown_detector_setting():
+    with pytest.raises(InvalidConfig, match="knn_kk"):
+        PipelineConfig(data={"generate": GEN}, detector_overrides={"knn_kk": 5})
 
 
 def test_config_requires_a_data_source():
@@ -369,3 +382,21 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     assert rc == 1
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"]["type"] == "InvalidConfig"
+
+
+# --- start-up -------------------------------------------------------------
+
+def test_import_loads_no_scipy():
+    # perfdiag depends on numpy alone; importing scipy.stats would add about a
+    # second to the start of every command
+    code = (
+        "import sys, perfdiag.pipeline, perfdiag.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(perfdiag.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert done.stdout.strip() == "[]"

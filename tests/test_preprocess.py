@@ -12,6 +12,7 @@ from perfdiag.errors import (
     TooFewSamples,
 )
 from perfdiag.preprocess import (
+    _two_sided_t_pvalue,
     correlate_select,
     pca_fit,
     pca_transform,
@@ -199,6 +200,84 @@ def test_correlation_needs_three_rows():
     lab = labels_for(f, [0, 1])
     with pytest.raises(TooFewSamples):
         correlate_select(f, lab)
+
+
+# --- Student-t p-values ---------------------------------------------------
+
+# two-sided P(|T_dof| >= t) at each t of T_GRID, recorded from scipy 1.17.1 as
+# scipy.special.betainc(dof / 2, 0.5, dof / (dof + t^2)); each row stops where
+# the p-value falls below 1e-300
+T_GRID = (0.1, 1.0, 2.0, 4.0, 10.0, 20.0, 40.0, 1e3, 1e6)
+T_PVALUES = {
+    1: [
+        0.936548965138893, 0.5000000000000001, 0.2951672353008665, 0.15595826075473865,
+        0.06345103486110713, 0.03180450251235275, 0.015912179824051624,
+        0.0006366195601611178, 6.366197723673691e-07,
+    ],
+    2: [
+        0.9294654384141411, 0.4226497308103742, 0.18350341907227397,
+        0.05719095841793663, 0.00985245702332569, 0.002490663892367097,
+        0.0006244146721847406, 9.999985000025e-07, 9.999999999985001e-13,
+    ],
+    3: [
+        0.9266523488008069, 0.3910022189557705, 0.13932596855884305,
+        0.028008456010146152, 0.0021283990584141503, 0.0002732032502473116,
+        3.4380680789158506e-05, 2.205307642576592e-09, 2.205315581679229e-18,
+    ],
+    5: [
+        0.9242301411546615, 0.3632174676491228, 0.10193947882985835,
+        0.01032341548083145, 0.00017094757574296363, 5.775516373224174e-06,
+        1.8411962171772954e-07, 1.898013113197972e-14, 1.8980334490921362e-29,
+    ],
+    20: [
+        0.9213399413456056, 0.3292565771717091, 0.05926553544657045,
+        0.0007035232931283187, 3.1637817587143855e-09, 1.079986453421047e-14,
+        1.457469655431075e-20, 1.803913399589147e-48, 1.8042578121555493e-108,
+    ],
+    37: [
+        0.9208842083180695, 0.32380587235541863, 0.05288127722073546,
+        0.0002915755388251916, 4.588121814678229e-12, 1.9765909453877236e-21,
+        4.6929254236802006e-32, 1.3376650577493558e-83, 1.3385574919337533e-194,
+    ],
+    79: [
+        0.9205976630706976, 0.32036371526073243, 0.04893703886631386,
+        0.0001417014846391441, 1.103098717495113e-15, 1.1826454357442624e-32,
+        3.3784759121920015e-54, 8.066476573289254e-164,
+    ],
+    80: [
+        0.9205945014940228, 0.32032567031258075, 0.04889384789355916,
+        0.00014043996784757537, 9.665682427522524e-16, 7.269850664141575e-33,
+        1.1765120254316334e-54, 1.1783238641556963e-165,
+    ],
+    998: [
+        0.9203644091859778, 0.3175529027531902, 0.04577088799656258,
+        6.801951030767853e-05, 1.6745889963853366e-22, 4.275375412417269e-75,
+        1.4738761501108683e-209,
+    ],
+    2498: [
+        0.9203523499016819, 0.31740736395033914, 0.045608352803710714,
+        6.518271183853416e-05, 4.119453811767847e-23, 1.1590801545407627e-82,
+        7.90014490070845e-271,
+    ],
+    27998: [
+        0.92034504143301, 0.3173191502148071, 0.04550990599267676,
+        6.350515160289362e-05, 1.668914820125248e-23, 2.2836483258322357e-88,
+    ],
+}
+
+
+@pytest.mark.parametrize("dof", sorted(T_PVALUES))
+def test_t_pvalue_matches_recorded_values(dof):
+    p = np.array(T_PVALUES[dof])
+    t = np.array(T_GRID[: len(p)])
+    got = _two_sided_t_pvalue(np.concatenate([t, -t]), dof)
+    np.testing.assert_allclose(got, np.concatenate([p, p]), rtol=1e-11, atol=0.0)
+
+
+@pytest.mark.parametrize("dof", [1, 2, 80, 27998])
+def test_t_pvalue_limits(dof):
+    p = _two_sided_t_pvalue(np.array([np.inf, -np.inf, 0.0]), dof)
+    assert p.tolist() == [0.0, 0.0, 1.0]
 
 
 # --- pca ------------------------------------------------------------------

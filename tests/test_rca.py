@@ -6,7 +6,6 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
 from perfdiag.errors import (
     EmptyGroundTruth,
@@ -17,6 +16,7 @@ from perfdiag.rca.graph import (
     CausalGraph,
     _correlation_matrix,
     _skeleton,
+    _z_quantile,
     partial_correlation,
     pc_build,
 )
@@ -77,6 +77,16 @@ def test_graph_edge_list_text():
 
 
 # --- conditional independence ---------------------------------------------
+
+# recorded from scipy 1.17.1 as scipy.special.ndtri(1 - alpha / 2)
+@pytest.mark.parametrize(
+    "alpha, q",
+    [(0.001, 3.2905267314919255), (0.01, 2.5758293035489004),
+     (0.05, 1.959963984540054), (0.1, 1.6448536269514722)],
+)
+def test_z_quantile_matches_recorded_values(alpha, q):
+    assert _z_quantile(alpha) == pytest.approx(q, rel=1e-15, abs=0.0)
+
 
 def test_fisher_z_keeps_dependent_edge():
     hits = 0
@@ -192,7 +202,7 @@ def factor_data(n_metrics, d=2000, sigma=2.0):
 
 def reference_skeleton(corr, d, names, alpha):
     """The PC skeleton with one partial_correlation call per conditioning set."""
-    q = ndtri(1.0 - alpha / 2.0)
+    q = _z_quantile(alpha)
     col = {n: k for k, n in enumerate(names)}
     adj = {n: set(names) - {n} for n in names}
     sepset = {}
