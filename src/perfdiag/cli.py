@@ -1,26 +1,28 @@
 """Command-line entry point.
 
-`run` executes the whole pipeline. `select`, `detect`, `train`, `predict`
-and `rca` replay one stage of it through `pipeline.run_stage`, reading the
-earlier stages' artifacts from the output directory, so an experiment can
-be reproduced step by step. Failures exit nonzero with a one-line JSON
+`run` executes the whole pipeline. `gen` writes the configured synthetic
+data, and `select`, `detect`, `train`, `predict` and `rca` replay one stage
+of the pipeline, all through `pipeline.run_stage`, reading the earlier
+stages' artifacts from the output directory, so an experiment can be
+reproduced step by step. Failures exit nonzero with a one-line JSON
 error record on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
 
-from .errors import InvalidConfig, ParseError, PipelineStageError
+from .errors import PipelineStageError
 from .evaluation import ranks_from_f1, robustness
-from .ingest import GenConfig, generate
-from .pipeline import PipelineConfig, load_config, run_pipeline, run_stage
+from .pipeline import PipelineConfig, load_config, ranking_table, run_pipeline, run_stage
 from .rca import CausalGraph, localize
 from .seeding import derive_seed
+from .tables import Table, format_table
+
+ROBUSTNESS = (("method", str), ("avg_rank", float), ("robustness", float))
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -101,8 +103,6 @@ def _dispatch(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if args.command == "run":
         return _cmd_run(config, out)
-    if args.command == "gen":
-        return _cmd_gen(config, out)
     if args.command == "rca" and args.graph:
         return _cmd_rca_graph(args, config, out)
     return _cmd_stage(args.command, config, out)
@@ -114,26 +114,6 @@ def _cmd_run(config: PipelineConfig, out: Path) -> int:
     if ev is not None:
         print(f"f1={ev.f1:.4f} precision={ev.precision:.4f} recall={ev.recall:.4f}")
     print(f"report written to {out / 'report.json'}")
-    return 0
-
-
-def _cmd_gen(config: PipelineConfig, out: Path) -> int:
-    if "generate" not in config.data:
-        raise InvalidConfig("gen requires a data.generate section in the config")
-    gen = GenConfig(**config.data["generate"])
-    frame, labels, truth = generate(gen, derive_seed(config.seed, "gen"))
-    with open(out / "data.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["timestamp", *frame.names])
-        for t, row in zip(frame.timestamps, frame.values):
-            w.writerow([int(t), *[repr(float(x)) for x in row]])
-    with open(out / "labels.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["timestamp", "label"])
-        for t, y in zip(labels.timestamps, labels.labels):
-            w.writerow([int(t), int(y)])
-    truth.save(out / "ground_truth.json")
-    print(f"wrote data.csv, labels.csv, ground_truth.json to {out}")
     return 0
 
 
@@ -155,7 +135,7 @@ def _cmd_rca_graph(args, config: PipelineConfig, out: Path) -> int:
         length=config.walk_length,
         seed=derive_seed(config.seed, "rca"),
     )
-    ranking.to_csv(out / "ranking.csv")
+    (out / "ranking.csv").write_text(ranking_table(ranking), newline="")
     _print_ranking(ranking.entries)
     return 0
 
@@ -172,25 +152,21 @@ def _cmd_eval(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     ranks_per_method: dict[str, list[float]] = {}
     for path in args.results:
-        f1s = {}
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "method" not in reader.fieldnames \
-                    or "f1" not in reader.fieldnames:
-                raise ParseError(f"{path}: expected columns 'method' and 'f1'")
-            for row in reader:
-                f1s[row["method"]] = float(row["f1"])
-        ranks = ranks_from_f1(f1s)
+        table = Table(path)
+        if not {"method", "f1"} <= set(table.header):
+            raise table.error(table.header_line, "expected columns 'method' and 'f1'")
+        types = [float if name == "f1" else str for name in table.header]
+        columns = dict(zip(table.header, table.columns(types)))
+        ranks = ranks_from_f1(dict(zip(columns["method"], columns["f1"])))
         for method, rank in ranks.items():
             ranks_per_method.setdefault(method, []).append(rank)
     scores = robustness(ranks_per_method)
-    with open(out / "robustness.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "avg_rank", "robustness"])
-        for method in sorted(scores, key=lambda m: (-scores[m], m)):
-            avg_rank = sum(ranks_per_method[method]) / len(ranks_per_method[method])
-            w.writerow([method, repr(avg_rank), repr(scores[method])])
-            print(f"{method}: avg rank {avg_rank:.2f}, robustness {scores[method]:.4f}")
+    methods = sorted(scores, key=lambda m: (-scores[m], m))
+    avg_ranks = [sum(ranks_per_method[m]) / len(ranks_per_method[m]) for m in methods]
+    for method, avg_rank in zip(methods, avg_ranks):
+        print(f"{method}: avg rank {avg_rank:.2f}, robustness {scores[method]:.4f}")
+    text = format_table(ROBUSTNESS, [methods, avg_ranks, [scores[m] for m in methods]])
+    (out / "robustness.csv").write_text(text, newline="")
     return 0
 
 

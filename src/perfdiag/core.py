@@ -237,24 +237,16 @@ class ScoreMatrix:
 
 @dataclass(frozen=True)
 class EvaluationBlock:
-    """Detection quality on a labeled span; seconds is wall-clock or None."""
+    """Detection quality on a labeled span."""
 
     precision: float
     recall: float
     f1: float
-    seconds: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class RankedCause:
-    metric: str
-    count: int
-    rank: int
 
 
 @dataclass(frozen=True, eq=False)
 class DiagnosisReport:
-    """Verdicts, probabilities, optional evaluation, and ranked root causes.
+    """Verdicts, probabilities, and an optional evaluation.
 
     Verdicts are derived from probabilities: verdict = 1 iff probability
     is at or above ``threshold``.
@@ -264,7 +256,6 @@ class DiagnosisReport:
     threshold: float
     verdicts: np.ndarray = field(default=None)  # derived when omitted
     evaluation: Optional[EvaluationBlock] = None
-    root_causes: Optional[tuple[RankedCause, ...]] = None
 
     def __post_init__(self):
         probs = np.asarray(self.probabilities, dtype=np.float64)
@@ -282,8 +273,6 @@ class DiagnosisReport:
                 raise ValueError("verdicts must equal probabilities >= threshold")
         object.__setattr__(self, "probabilities", _frozen(probs))
         object.__setattr__(self, "verdicts", _frozen(verdicts))
-        if self.root_causes is not None:
-            object.__setattr__(self, "root_causes", tuple(self.root_causes))
 
     def __eq__(self, other):
         return (
@@ -292,8 +281,24 @@ class DiagnosisReport:
             and np.array_equal(self.probabilities, other.probabilities)
             and np.array_equal(self.verdicts, other.verdicts)
             and self.evaluation == other.evaluation
-            and self.root_causes == other.root_causes
         )
+
+
+def standardize(values: np.ndarray):
+    """Column z-scores with population std: (z, means, stds, constant mask).
+
+    A column is constant when its max equals its min. Its mean, summed in
+    floating point, need not equal the constant, so its std is reported as
+    0 and its z-scores are set to 0 outright. A spread whose std underflows
+    to 0 counts as constant too, so no column is divided by 0.
+    """
+    means = values.mean(axis=0)
+    stds = values.std(axis=0)
+    const = (values.max(axis=0) == values.min(axis=0)) | (stds == 0.0)
+    stds = np.where(const, 0.0, stds)
+    z = (values - means) / np.where(const, 1.0, stds)
+    z[:, const] = 0.0
+    return z, means, stds, const
 
 
 def align(frame: MetricFrame, labels: LabelSeries) -> tuple[MetricFrame, LabelSeries]:

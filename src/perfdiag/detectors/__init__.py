@@ -9,7 +9,6 @@ fraction. Each learner draws from its own RNG stream derived from
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -77,13 +76,6 @@ class ScoreVector:
             and self.learner == other.learner
             and np.array_equal(self.values, other.values)
         )
-
-    def to_csv(self, path, timestamps) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["timestamp", "score"])
-            for t, s in zip(timestamps, self.values):
-                w.writerow([int(t), repr(float(s))])
 
 
 def fit_score(spec: DetectorSpec, data: SelectedFrame) -> ScoreVector:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LabelSeries, ScoreMatrix
+from .core import LabelSeries, ScoreMatrix, standardize
 from .detectors import KINDS, ScoreVector
 from .errors import (
     ConstantColumnWarning,
@@ -47,17 +47,12 @@ def assemble(scores: Sequence[ScoreVector]) -> ScoreMatrix:
 
     ordered = sorted(scores, key=lambda s: rank(s.learner))
     raw = np.column_stack([s.values for s in ordered])
-    means = raw.mean(axis=0)
-    stds = raw.std(axis=0)
-    const = stds == 0.0
+    values, means, stds, const = standardize(raw)
     if const.any():
         bad = [s.learner for s, c in zip(ordered, const) if c]
         warnings.warn(
             f"constant score columns zeroed: {', '.join(bad)}", ConstantColumnWarning
         )
-    safe = np.where(const, 1.0, stds)
-    values = (raw - means) / safe
-    values[:, const] = 0.0
     return ScoreMatrix(
         values=values,
         learner_names=tuple(s.learner for s in ordered),

@@ -8,15 +8,13 @@ be measured against exact ground truth.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import LabelSeries, MetricFrame
+from .core import LabelSeries, MetricFrame, dumps_json
 from .errors import (
     EmptyGroundTruth,
     InvalidConfig,
@@ -24,6 +22,7 @@ from .errors import (
     ParseError,
     RowCountMismatch,
 )
+from .tables import Table
 
 
 @dataclass(frozen=True)
@@ -55,21 +54,11 @@ class GroundTruth:
         }
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
+        Path(path).write_text(dumps_json(self.to_dict()) + "\n")
 
 
-def _parse_int(cell: str, where: str) -> int:
-    try:
-        return int(cell)
-    except ValueError:
-        raise ParseError(f"expected integer at {where}, got {cell!r}") from None
-
-
-def _parse_float(cell: str, where: str) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        raise ParseError(f"expected number at {where}, got {cell!r}") from None
+TIMESTAMP = ("timestamp", int)
+LABELS = (TIMESTAMP, ("label", int))
 
 
 def load_csv(path, label_path=None) -> tuple[MetricFrame, Optional[LabelSeries]]:
@@ -78,50 +67,36 @@ def load_csv(path, label_path=None) -> tuple[MetricFrame, Optional[LabelSeries]]
     The label file has header `timestamp,label` with 0/1 values. Sampling
     interval is inferred from the first timestamp gap and must be uniform.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or len(rows[0]) < 2 or rows[0][0] != "timestamp":
-        raise ParseError(f"{path}: expected header 'timestamp,<name>,...'")
-    names = tuple(rows[0][1:])
-    timestamps = []
-    values = []
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(names) + 1:
-            raise ParseError(f"{path}:{r}: expected {len(names) + 1} fields, got {len(row)}")
-        timestamps.append(_parse_int(row[0], f"{path}:{r} col 1"))
-        values.append([_parse_float(c, f"{path}:{r} col {i + 2}") for i, c in enumerate(row[1:])])
-    ts = np.asarray(timestamps, dtype=np.int64)
-    interval = int(ts[1] - ts[0]) if ts.shape[0] >= 2 else 1
+    table = Table(path)
+    names = table.header[1:]
+    if table.header[:1] != (TIMESTAMP[0],) or not names:
+        raise table.error(table.header_line, "expected header 'timestamp,<name>,...'")
+    ts, *columns = table.columns((int,) + (float,) * len(names))
     frame = MetricFrame(
         timestamps=ts,
-        values=np.asarray(values, dtype=np.float64).reshape(len(timestamps), len(names)),
+        values=np.column_stack(columns),
         names=names,
-        interval=interval,
+        interval=int(ts[1] - ts[0]) if ts.shape[0] >= 2 else 1,
     )
     if label_path is None:
         return frame, None
     return frame, _load_label_csv(label_path)
 
 
+def _binary(table: Table, labels: np.ndarray) -> np.ndarray:
+    bad = np.flatnonzero((labels != 0) & (labels != 1))
+    if bad.size:
+        i = bad[0]
+        raise NonBinaryLabel(
+            f"{table.path}:{table.lines[i]}: label must be 0 or 1, got {labels[i]}"
+        )
+    return labels
+
+
 def _load_label_csv(path) -> LabelSeries:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["timestamp", "label"]:
-        raise ParseError(f"{path}: expected header 'timestamp,label'")
-    timestamps = []
-    labels = []
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise ParseError(f"{path}:{r}: expected 2 fields, got {len(row)}")
-        timestamps.append(_parse_int(row[0], f"{path}:{r} col 1"))
-        val = _parse_int(row[1], f"{path}:{r} col 2")
-        if val not in (0, 1):
-            raise NonBinaryLabel(f"{path}:{r}: label must be 0 or 1, got {val}")
-        labels.append(val)
-    return LabelSeries(
-        timestamps=np.asarray(timestamps, dtype=np.int64),
-        labels=np.asarray(labels, dtype=np.int64),
-    )
+    table = Table(path)
+    timestamps, labels = table.read(LABELS)
+    return LabelSeries(timestamps=timestamps, labels=_binary(table, labels))
 
 
 def load_smd(values_path, labels_path) -> tuple[MetricFrame, LabelSeries]:
@@ -130,27 +105,13 @@ def load_smd(values_path, labels_path) -> tuple[MetricFrame, LabelSeries]:
     Timestamps 0,1,2,... are assigned with interval 1; columns are named
     "m0", "m1", ... in file order.
     """
-    with open(values_path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [row for row in rows if row]
-    if not rows:
+    table = Table(values_path, header=False)
+    if not table.rows:
         raise ParseError(f"{values_path}: empty file")
-    width = len(rows[0])
-    values = []
-    for r, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise ParseError(f"{values_path}:{r}: expected {width} fields, got {len(row)}")
-        values.append([_parse_float(c, f"{values_path}:{r} col {i + 1}") for i, c in enumerate(row)])
-    labels = []
-    with open(labels_path) as fh:
-        for r, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            val = _parse_int(line, f"{labels_path}:{r}")
-            if val not in (0, 1):
-                raise NonBinaryLabel(f"{labels_path}:{r}: label must be 0 or 1, got {val}")
-            labels.append(val)
+    width = len(table.rows[0])
+    values = np.column_stack(table.columns((float,) * width))
+    label_table = Table(labels_path, header=False)
+    labels = _binary(label_table, label_table.columns((int,))[0])
     if len(labels) != len(values):
         raise RowCountMismatch(
             f"{len(values)} value rows but {len(labels)} labels"
@@ -158,11 +119,11 @@ def load_smd(values_path, labels_path) -> tuple[MetricFrame, LabelSeries]:
     ts = np.arange(len(values), dtype=np.int64)
     frame = MetricFrame(
         timestamps=ts,
-        values=np.asarray(values, dtype=np.float64),
+        values=values,
         names=tuple(f"m{i}" for i in range(width)),
         interval=1,
     )
-    return frame, LabelSeries(timestamps=ts, labels=np.asarray(labels, dtype=np.int64))
+    return frame, LabelSeries(timestamps=ts, labels=labels)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DiagnosisReport, ScoreMatrix
+from .core import DiagnosisReport, ScoreMatrix, dumps_json
 from .errors import (
     InvalidConfig,
     NonFiniteLoss,
@@ -83,14 +83,6 @@ class NormStats:
             stds=tuple(float(x) for x in M.norm_stds),
         )
 
-    def apply(self, raw: np.ndarray) -> np.ndarray:
-        means = np.asarray(self.means)
-        stds = np.asarray(self.stds)
-        safe = np.where(stds == 0.0, 1.0, stds)
-        out = (raw - means) / safe
-        out[:, stds == 0.0] = 0.0
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class MlpModel:
@@ -135,9 +127,9 @@ class MlpModel:
             and all(np.array_equal(a, b) for a, b in zip(self.params, other.params))
         )
 
-    def save(self, path) -> None:
+    def to_dict(self) -> dict:
         w1, b1, w2, b2, w3, b3 = self.params
-        doc = {
+        return {
             "schema_version": SCHEMA_VERSION,
             "layers": list(self.layer_sizes),
             "weights": {
@@ -154,9 +146,9 @@ class MlpModel:
                 "stds": list(self.norm.stds),
             },
         }
-        Path(path).write_text(
-            json.dumps(doc, sort_keys=True, allow_nan=False, indent=2) + "\n"
-        )
+
+    def save(self, path) -> None:
+        Path(path).write_text(dumps_json(self.to_dict()) + "\n")
 
     @classmethod
     def load(cls, path) -> "MlpModel":
@@ -317,13 +309,12 @@ def train_deep(
     return MlpModel(params=params, config=config, shift=shift, norm=norm)
 
 
-def predict_deep(model: MlpModel, M) -> DiagnosisReport:
-    """Probabilities and verdicts on new score rows.
+def predict_deep(model: MlpModel, M: np.ndarray) -> DiagnosisReport:
+    """Probabilities and verdicts on normalized score rows.
 
-    With shift s, the verdict at row t is the forecast for time t+s. Accepts
-    a ScoreMatrix (already normalized) or a raw ndarray of the same width.
+    With shift s, the verdict at row t is the forecast for time t+s.
     """
-    values = M.values if isinstance(M, ScoreMatrix) else np.asarray(M, dtype=np.float64)
+    values = np.asarray(M, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] != model.layer_sizes[0]:
         raise ShapeMismatch(
             f"model expects {model.layer_sizes[0]} columns, got {values.shape}"

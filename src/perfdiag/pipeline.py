@@ -1,16 +1,18 @@
 """End-to-end pipeline: ingest, select, detect, ensemble, predict, rca, eval.
 
-Artifacts land in the configured output directory with fixed names.
-`run_pipeline` runs every stage in memory; `run_stage` replays one stage
-from the artifacts of the stages before it, by calling the same stage
-functions, so a step-by-step run writes the same files. The report JSON is
-fully deterministic for a given (config, seed); wall-clock timings and
-artifact checksums go to a separate manifest file instead.
+Artifacts land in the configured output directory with fixed names, each
+through `_Run.write`. `run_pipeline` runs every stage in memory;
+`run_stage` replays one stage from the artifacts of the stages before it,
+by calling the same stage functions, so a step-by-step run writes the same
+files. Each CSV artifact's layout is defined once below, for its writer and
+its replay reader. The report JSON is fully deterministic for a given
+(config, seed); wall-clock timings and artifact checksums go to a separate
+manifest file instead.
 """
 
 from __future__ import annotations
 
-import csv
+import copy
 import hashlib
 import json
 import time
@@ -25,7 +27,6 @@ from .core import (
     EvaluationBlock,
     LabelSeries,
     MetricFrame,
-    RankedCause,
     ScoreMatrix,
     SelectedFrame,
     align,
@@ -42,16 +43,22 @@ from .ensemble import (
 )
 from .errors import InvalidConfig, ParseError, PipelineStageError
 from .evaluation import prf1
-from .ingest import GenConfig, GroundTruth, generate, load_csv, load_smd
+from .ingest import LABELS, TIMESTAMP, GenConfig, GroundTruth, generate, load_csv, load_smd
 from .mlp import MlpModel, NormStats, TrainConfig, predict_deep, train_deep
 from .preprocess import correlate_select, pca_fit, pca_transform, zscore
-from .rca import INDICATOR, ac_at_k, avg_at_k, localize, pc_build
+from .rca import INDICATOR, RootCauseRanking, ac_at_k, avg_at_k, localize, pc_build
 from .seeding import derive_seed
+from .tables import Table, format_table
 
 SELECT_METHODS = ("correlation", "pca", "none")
 ENSEMBLES = ("max", "avg", "weighted", "deep")
 DETECTOR_SETTINGS = {"n_trees", "subsample", "knn_k", "lof_k", "nu", "gamma"}
 REPORT_SCHEMA_VERSION = 1
+
+SCORES = (TIMESTAMP, ("score", float))
+VERDICTS = (TIMESTAMP, ("probability", float), ("verdict", int))
+SELECTION = (("metric", str), ("r", float), ("t", float), ("p", float), ("retained", int))
+RANKING = (("rank", int), ("node", str), ("count", int))
 
 
 @dataclass(frozen=True)
@@ -184,7 +191,7 @@ def load_config(path, overrides: Optional[dict] = None) -> PipelineConfig:
 
 
 def _apply_overrides(doc: dict, ov: dict) -> dict:
-    doc = json.loads(json.dumps(doc))  # deep copy
+    doc = copy.deepcopy(doc)
     if ov.get("seed") is not None:
         doc["seed"] = ov["seed"]
     if ov.get("out") is not None:
@@ -213,7 +220,7 @@ class _Run:
         self.config = config
         self.out = Path(config.out)
         self.timings: dict[str, float] = {}
-        self.artifacts: list[str] = []
+        self.artifacts: dict[str, str] = {}  # file name -> sha256 of its bytes
         self.frame: Optional[MetricFrame] = None
         self.labels: Optional[LabelSeries] = None
         self.truth: Optional[GroundTruth] = None
@@ -226,7 +233,6 @@ class _Run:
         self.eval_span_labels: Optional[np.ndarray] = None
         self.verdict_timeline: Optional[np.ndarray] = None
         self.rca_info: Optional[dict] = None
-        self.root_causes: Optional[tuple[RankedCause, ...]] = None
 
     def stage(self, name: str, fn):
         start = time.perf_counter()
@@ -236,12 +242,12 @@ class _Run:
             raise PipelineStageError(name, exc) from exc
         self.timings[name] = time.perf_counter() - start
 
-    def write(self, relpath: str, text: str) -> None:
-        (self.out / relpath).write_text(text)
-        self.artifacts.append(relpath)
-
-    def track(self, relpath: str) -> None:
-        self.artifacts.append(relpath)
+    def write(self, relpath: str, content) -> None:
+        """Write one artifact: a dict as canonical JSON, text as it is."""
+        text = dumps_json(content) + "\n" if isinstance(content, dict) else content
+        data = text.encode()
+        (self.out / relpath).write_bytes(data)
+        self.artifacts[relpath] = hashlib.sha256(data).hexdigest()
 
 
 def run_pipeline(config: PipelineConfig) -> DiagnosisReport:
@@ -261,16 +267,26 @@ def run_pipeline(config: PipelineConfig) -> DiagnosisReport:
 def run_stage(config: PipelineConfig, name: str) -> _Run:
     """Replay one stage of `run_pipeline` from the artifacts in the out dir.
 
-    Every stage re-runs ingest and select from the config. ``select`` stops
-    there. ``detect`` scores the selected data and, for a linear ensemble,
-    also writes the verdicts. ``train`` reads the scores back and writes the
-    model; ``predict`` reads the scores and the model back and writes the
+    Every stage re-runs ingest from the config. ``gen`` then writes the
+    generated series and labels as ``data.csv`` and ``labels.csv``; every
+    other stage re-runs select, and ``select`` stops there. ``detect``
+    scores the selected data and, for a linear ensemble, also writes the
+    verdicts. ``train`` reads the scores back and writes the model;
+    ``predict`` reads the scores and the model back and writes the
     verdicts. ``rca`` takes its anomaly windows from the labels, or reads
     ``verdicts.csv`` back when there are none. Returns the run state.
     """
+    if name == "gen" and "generate" not in config.data:
+        raise InvalidConfig("gen requires a data.generate section in the config")
     run = _Run(config)
     run.out.mkdir(parents=True, exist_ok=True)
     _ingest(run)
+    if name == "gen":
+        frame, labels = run.frame, run.labels
+        layout = (TIMESTAMP, *((n, float) for n in frame.names))
+        run.write("data.csv", format_table(layout, [frame.timestamps, *frame.values.T]))
+        run.write("labels.csv", format_table(LABELS, [labels.timestamps, labels.labels]))
+        return run
     _select(run)
     if name == "detect":
         _detect(run)
@@ -300,27 +316,12 @@ def _artifact(run: _Run, name: str, stage: str) -> Path:
     return path
 
 
-def _read_csv(path: Path, header: list, types: tuple) -> list:
-    """Columns of a CSV artifact, each parsed by its entry of ``types``."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != header:
-        raise ParseError(f"{path}: expected header '{','.join(header)}'")
-    body = rows[1:]
-    if any(len(row) != len(header) for row in body):
-        raise ParseError(f"{path}: every row needs {len(header)} fields")
-    try:
-        return [np.array([t(row[i]) for row in body], dtype=t) for i, t in enumerate(types)]
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-
-
 def _read_scores(run: _Run) -> ScoreMatrix:
     """The detect stage's scores, assembled as `_detect` assembles them."""
     vectors = []
     for kind in KINDS:
         path = _artifact(run, f"scores_{kind}.csv", "detect")
-        ts, values = _read_csv(path, ["timestamp", "score"], (int, float))
+        ts, values = Table(path).read(SCORES)
         if not np.array_equal(ts, run.selected.timestamps):
             raise ParseError(
                 f"{path}: timestamps differ from the selected data; run the detect stage again"
@@ -333,8 +334,7 @@ def _read_verdicts(run: _Run) -> np.ndarray:
     """Verdict timeline over the selected rows; rows without a verdict are 0."""
     stage = "predict" if run.config.ensemble == "deep" else "detect"
     path = _artifact(run, "verdicts.csv", stage)
-    header = ["timestamp", "probability", "verdict"]
-    ts, _, verdicts = _read_csv(path, header, (int, float, int))
+    ts, _, verdicts = Table(path).read(VERDICTS)
     known = np.isin(ts, run.selected.timestamps)
     if not known.all():
         raise ParseError(f"{path}: timestamp {ts[~known][0]} is not in the selected data")
@@ -351,8 +351,7 @@ def _ingest(run: _Run) -> None:
         gen = GenConfig(**data["generate"])
         frame, labels, truth = generate(gen, derive_seed(run.config.seed, "gen"))
         run.frame, run.labels, run.truth = frame, labels, truth
-        truth.save(run.out / "ground_truth.json")
-        run.track("ground_truth.json")
+        run.write("ground_truth.json", truth.to_dict())
     elif "smd_values" in data:
         run.frame, run.labels = load_smd(data["smd_values"], data["smd_labels"])
     else:
@@ -376,8 +375,9 @@ def _select(run: _Run) -> None:
         selected, table = correlate_select(
             normalized, run.labels, r_min=cfg.r_min, p_max=cfg.p_max
         )
-        table.to_csv(run.out / "selection.csv")
-        run.track("selection.csv")
+        run.write("selection.csv", format_table(
+            SELECTION, [table.names, table.r, table.t, table.p, table.retained]
+        ))
         info["table_path"] = "selection.csv"
         info["retained"] = list(selected.columns)
     elif cfg.select_method == "pca":
@@ -395,7 +395,7 @@ def _select(run: _Run) -> None:
     info["n_after"] = selected.values.shape[1]
     run.selected = selected
     run.selection_info = info
-    run.write("selected.json", dumps_json(selected.to_dict()) + "\n")
+    run.write("selected.json", selected.to_dict())
 
 
 def _detector_spec(run: _Run, kind: str) -> DetectorSpec:
@@ -412,8 +412,11 @@ def _detect(run: _Run) -> None:
     vectors = []
     for kind in KINDS:
         vec = fit_score(_detector_spec(run, kind), run.selected)
-        vec.to_csv(run.out / f"scores_{kind}.csv", run.selected.timestamps)
-        run.track(f"scores_{kind}.csv")
+        # unnamed, the text is freed before the next learner runs; kept alive,
+        # it pins the heap top and the learner's freed blocks stay resident
+        run.write(
+            f"scores_{kind}.csv", format_table(SCORES, [run.selected.timestamps, vec.values])
+        )
         vectors.append(vec)
     run.matrix = assemble(vectors)
 
@@ -434,7 +437,9 @@ def _ensemble(run: _Run) -> None:
     run.report = _report_from_scores(combined, cfg.anomaly_fraction)
     run.eval_span_labels = None if run.labels is None else run.labels.labels
     run.verdict_timeline = run.report.verdicts.copy()
-    _write_verdicts(run, run.selected.timestamps, run.report)
+    run.write("verdicts.csv", format_table(
+        VERDICTS, [run.selected.timestamps, run.report.probabilities, run.report.verdicts]
+    ))
 
 
 def _report_from_scores(combined: ScoreVector, fraction: float) -> DiagnosisReport:
@@ -467,8 +472,7 @@ def _train(run: _Run, halves) -> None:
     run.model = train_deep(
         train_X, train_y, tc, shift=cfg.shift, norm=NormStats.from_matrix(run.matrix)
     )
-    run.model.save(run.out / "model.json")
-    run.track("model.json")
+    run.write("model.json", run.model.to_dict())
 
 
 def _predict(run: _Run, halves) -> None:
@@ -487,16 +491,17 @@ def _predict(run: _Run, halves) -> None:
     timeline = np.zeros(run.matrix.n_samples, dtype=np.int64)
     timeline[cut + s : cut + s + usable] = run.report.verdicts
     run.verdict_timeline = timeline
-    _write_verdicts(run, run.selected.timestamps[cut + s : cut + s + usable], run.report)
+    timestamps = run.selected.timestamps[cut + s : cut + s + usable]
+    run.write("verdicts.csv", format_table(
+        VERDICTS, [timestamps, run.report.probabilities, run.report.verdicts]
+    ))
 
 
-def _write_verdicts(run: _Run, timestamps, report: DiagnosisReport) -> None:
-    with open(run.out / "verdicts.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["timestamp", "probability", "verdict"])
-        for t, p, v in zip(timestamps, report.probabilities, report.verdicts):
-            w.writerow([int(t), repr(float(p)), int(v)])
-    run.track("verdicts.csv")
+def ranking_table(ranking: RootCauseRanking) -> str:
+    """ranking.csv: rank, node and walk count of each root-cause candidate."""
+    names = ranking.names()
+    counts = [count for _, count in ranking.entries]
+    return format_table(RANKING, [range(1, len(names) + 1), names, counts])
 
 
 def _detected_windows(timeline: np.ndarray) -> list[tuple[int, int]]:
@@ -549,20 +554,14 @@ def _rca(run: _Run) -> None:
     names = tuple(metric_names) + (INDICATOR,)
     graph = pc_build(span, names, alpha=cfg.alpha)
     run.write("graph.txt", graph.edge_list_text())
-    graph.save(run.out / "graph.json")
-    run.track("graph.json")
+    run.write("graph.json", graph.to_dict())
     ranking = localize(
         graph,
         total_walks=cfg.walks,
         length=cfg.walk_length,
         seed=derive_seed(cfg.seed, "rca"),
     )
-    ranking.to_csv(run.out / "ranking.csv")
-    run.track("ranking.csv")
-    run.root_causes = tuple(
-        RankedCause(metric=n, count=c, rank=i + 1)
-        for i, (n, c) in enumerate(ranking.entries)
-    )
+    run.write("ranking.csv", ranking_table(ranking))
     info: dict = {
         "graph_path": "graph.json",
         "ranking": [[n, c] for n, c in ranking.entries],
@@ -583,12 +582,11 @@ def _report(run: _Run) -> None:
     ev = None
     if run.eval_span_labels is not None:
         p, r, f1 = prf1(run.report.verdicts, run.eval_span_labels)
-        ev = EvaluationBlock(precision=p, recall=r, f1=f1, seconds=None)
+        ev = EvaluationBlock(precision=p, recall=r, f1=f1)
     run.report = DiagnosisReport(
         probabilities=run.report.probabilities,
         threshold=run.report.threshold,
         evaluation=ev,
-        root_causes=run.root_causes,
     )
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -608,18 +606,13 @@ def _report(run: _Run) -> None:
         },
         "rca": run.rca_info,
     }
-    run.write("report.json", dumps_json(doc) + "\n")
+    run.write("report.json", doc)
 
 
 def _write_manifest(run: _Run) -> None:
-    checksums = {}
-    for rel in sorted(set(run.artifacts)):
-        digest = hashlib.sha256((run.out / rel).read_bytes()).hexdigest()
-        checksums[rel] = digest
-    manifest = {
+    run.write("manifest.json", {
         "config_sha256": run.config.config_hash(),
         "seed": run.config.seed,
         "timings_seconds": {k: round(v, 6) for k, v in run.timings.items()},
-        "artifact_sha256": checksums,
-    }
-    (run.out / "manifest.json").write_text(dumps_json(manifest) + "\n")
+        "artifact_sha256": run.artifacts,
+    })

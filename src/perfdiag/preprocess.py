@@ -8,7 +8,6 @@ conventions are used throughout so normalization and correlation agree.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -16,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import LabelSeries, MetricFrame, SelectedFrame
+from .core import LabelSeries, MetricFrame, SelectedFrame, standardize
 from .errors import (
     AllFiltered,
     ConstantColumnWarning,
@@ -41,14 +40,14 @@ class ZscoreStats:
 def zscore(frame: MetricFrame) -> tuple[MetricFrame, ZscoreStats]:
     """Normalize each column to mean 0, population std 1.
 
-    Constant columns carry no signal and cannot be scaled; they are dropped
-    with a ConstantColumnWarning and recorded in the returned stats.
+    Constant columns (max == min) carry no signal and cannot be scaled; they
+    are dropped with a ConstantColumnWarning and recorded in the returned
+    stats.
     """
     if frame.n_samples < 2:
         raise TooFewSamples(f"z-score needs at least 2 samples, got {frame.n_samples}")
-    means = frame.values.mean(axis=0)
-    stds = frame.values.std(axis=0)
-    keep = stds > 0.0
+    z, means, stds, const = standardize(frame.values)
+    keep = ~const
     dropped = tuple(n for n, k in zip(frame.names, keep) if not k)
     if dropped:
         warnings.warn(
@@ -56,10 +55,9 @@ def zscore(frame: MetricFrame) -> tuple[MetricFrame, ZscoreStats]:
         )
     if not keep.any():
         raise DegenerateCovariance("every column is constant")
-    normalized = (frame.values[:, keep] - means[keep]) / stds[keep]
     out = MetricFrame(
         timestamps=frame.timestamps,
-        values=normalized,
+        values=z[:, keep],
         names=tuple(n for n, k in zip(frame.names, keep) if k),
         interval=frame.interval,
     )
@@ -77,16 +75,6 @@ class CorrelationResult:
     t: np.ndarray
     p: np.ndarray
     retained: np.ndarray
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["metric", "r", "t", "p", "retained"])
-            for i, name in enumerate(self.names):
-                w.writerow([
-                    name, repr(float(self.r[i])), repr(float(self.t[i])),
-                    repr(float(self.p[i])), int(self.retained[i]),
-                ])
 
 
 def _log_gamma_ratio(a: float, b: float) -> float:
@@ -252,17 +240,13 @@ def pca_fit(
         raise InvalidConfig(f"n_fixed must lie in [1, {n_cols}], got {n_fixed}")
     if not 0.0 < variance <= 1.0:
         raise InvalidConfig(f"variance threshold must lie in (0, 1], got {variance}")
-    means = frame.values.mean(axis=0)
-    stds = frame.values.std(axis=0)
-    const = stds == 0.0
+    z, means, stds, const = standardize(frame.values)
     if const.any():
         bad = tuple(n for n, c in zip(frame.names, const) if c)
         warnings.warn(
             f"constant columns contribute no variance: {', '.join(bad)}",
             ConstantColumnWarning,
         )
-    safe_stds = np.where(const, 1.0, stds)
-    z = (frame.values - means) / safe_stds
     cov = (z.T @ z) / frame.n_samples
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]
@@ -286,7 +270,7 @@ def pca_fit(
     return PcaModel(
         columns=frame.names,
         means=means,
-        stds=safe_stds,
+        stds=np.where(const, 1.0, stds),
         eigenvalues=eigvals,
         projection=basis,
         retained_variance=float(eigvals[:n].sum() / total),

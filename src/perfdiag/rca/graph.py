@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ..core import dumps_json, standardize
 from ..errors import InvalidConfig, SingularSubmatrixWarning
 
 # conditioning sets per batched inverse: an edge's first chunk is small
@@ -119,9 +120,7 @@ class CausalGraph:
         )
 
     def save(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-        )
+        Path(path).write_text(dumps_json(self.to_dict()) + "\n")
 
     @classmethod
     def load(cls, path) -> "CausalGraph":
@@ -134,11 +133,7 @@ class CausalGraph:
 
 
 def _correlation_matrix(data: np.ndarray) -> np.ndarray:
-    centered = data - data.mean(axis=0)
-    stds = data.std(axis=0)
-    safe = np.where(stds == 0.0, 1.0, stds)
-    z = centered / safe
-    z[:, stds == 0.0] = 0.0
+    z = standardize(data)[0]
     corr = (z.T @ z) / data.shape[0]
     np.fill_diagonal(corr, 1.0)
     return corr

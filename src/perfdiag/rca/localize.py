@@ -9,7 +9,6 @@ candidate; candidates are ranked by how many walks end on them.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -44,13 +43,6 @@ class RootCauseRanking:
 
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.entries)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["rank", "node", "count"])
-            for rank, (node, count) in enumerate(self.entries, start=1):
-                w.writerow([rank, node, count])
 
 
 def random_walk(

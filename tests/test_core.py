@@ -5,7 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from perfdiag.core import DiagnosisReport, LabelSeries, MetricFrame, align, dumps_json
+from perfdiag.core import (
+    DiagnosisReport,
+    LabelSeries,
+    MetricFrame,
+    align,
+    dumps_json,
+    standardize,
+)
 from perfdiag.errors import EmptyIntersection, NonUniformSpacing
 
 
@@ -130,3 +137,15 @@ def test_dumps_json_sorted_and_stable():
 def test_dumps_json_rejects_nan():
     with pytest.raises(ValueError):
         dumps_json({"x": float("nan")})
+
+
+def test_standardize_decides_constant_by_range():
+    # summed in floating point, the mean of 400 copies of 0.1 is not 0.1,
+    # so the column's std is about 1e-15 although its range is 0
+    vals = np.random.default_rng(0).standard_normal((400, 4))
+    vals[:, 2] = 0.1
+    assert vals.std(axis=0)[2] > 0.0
+    z, means, stds, const = standardize(vals)
+    assert const.tolist() == [False, False, True, False]
+    assert stds[2] == 0.0 and not z[:, 2].any()
+    np.testing.assert_allclose(z[:, [0, 1, 3]].std(axis=0), 1.0, rtol=1e-12)

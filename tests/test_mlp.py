@@ -325,20 +325,3 @@ def test_init_params_deterministic_and_scaled():
     assert not all(np.array_equal(x, y) for x, y in zip(a, c))
     assert a[0].std() == pytest.approx(np.sqrt(2.0 / 4.0), rel=0.3)
     np.testing.assert_array_equal(a[1], np.zeros(20))
-
-
-def test_norm_stats_reapply_matches_assembly():
-    rng = np.random.default_rng(7)
-    raw = rng.standard_normal((30, 2)) * np.array([3.0, 0.1]) + 5.0
-    M = assemble([
-        ScoreVector(values=raw[:, 0], learner="knn"),
-        ScoreVector(values=raw[:, 1], learner="lof"),
-    ])
-    stats = NormStats.from_matrix(M)
-    np.testing.assert_allclose(stats.apply(raw), M.values, atol=1e-12)
-
-
-def test_norm_stats_zero_std_column_zeroed():
-    stats = NormStats(learner_names=("a", "b"), means=(1.0, 2.0), stds=(0.0, 2.0))
-    out = stats.apply(np.array([[9.0, 4.0], [7.0, 0.0]]))
-    np.testing.assert_array_equal(out, [[0.0, 1.0], [0.0, -1.0]])

@@ -1,6 +1,7 @@
 """Pipeline orchestration and the command-line interface."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import pytest
 
 import perfdiag
 from perfdiag.cli import main
-from perfdiag.errors import InvalidConfig, PipelineStageError
+from perfdiag.errors import ConstantColumnWarning, InvalidConfig, PipelineStageError
 from perfdiag.pipeline import (
     PipelineConfig,
     _detected_windows,
@@ -190,6 +191,42 @@ def test_deep_run_writes_model_and_test_side_verdicts(tmp_path):
     cut = math.ceil(0.5 * GEN["n_samples"] - 1e-9)
     assert len(rows) == GEN["n_samples"] - cut
     assert int(rows[0]["timestamp"]) == cut
+
+
+@pytest.mark.parametrize("ensemble", ["max", "deep"])
+def test_manifest_lists_exactly_what_was_written(tmp_path, ensemble):
+    out = tmp_path / "out"
+    run_pipeline(PipelineConfig(
+        data={"generate": GEN}, out=str(out), seed=11, ensemble=ensemble,
+        anomaly_fraction=0.15,
+    ))
+    digests = json.loads((out / "manifest.json").read_text())["artifact_sha256"]
+    assert set(digests) == {p.name for p in out.iterdir()} - {"manifest.json"}
+    for name, digest in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.filterwarnings("ignore::perfdiag.errors.NoPredecessorsWarning")
+def test_metric_constant_at_a_tenth_is_dropped(tmp_path):
+    # the column mean of 400 copies of 0.1 is not exactly 0.1, so the
+    # metric's std is about 1e-15 instead of 0; its range is exactly 0
+    vals = np.random.default_rng(0).standard_normal((400, 4))
+    vals[:, 2] = 0.1
+    dpath = tmp_path / "plain.csv"
+    dpath.write_text("timestamp,m0,m1,m2,m3\n" + "".join(
+        f"{i},{','.join(repr(x) for x in row)}\n" for i, row in enumerate(vals.tolist())
+    ))
+    out = tmp_path / "out"
+    cfg = PipelineConfig(
+        data={"csv": str(dpath)}, out=str(out), select_method="none", ensemble="max",
+    )
+    with pytest.warns(ConstantColumnWarning, match="m2"):
+        run_pipeline(cfg)
+    selection = json.loads((out / "report.json").read_text())["selection"]
+    assert selection["dropped_constant"] == ["m2"]
+    assert selection["n_after"] == 3
+    graph = json.loads((out / "graph.json").read_text())
+    assert "m2" not in graph["nodes"]
 
 
 # --- cli subcommands ------------------------------------------------------

@@ -18,6 +18,7 @@ from perfdiag.preprocess import (
     pca_transform,
     zscore,
 )
+from perfdiag.pipeline import PipelineConfig, run_stage
 
 
 def frame_from(cols: dict, interval=1):
@@ -184,12 +185,16 @@ def test_correlation_csv_export(tmp_path):
     rng = np.random.default_rng(9)
     d = 80
     k = rng.integers(0, 2, d)
-    f = frame_from({"a": k * 4.0 + rng.standard_normal(d) * 0.2})
-    lab = LabelSeries(timestamps=f.timestamps, labels=k)
-    _, res = correlate_select(f, lab)
-    p = tmp_path / "sel.csv"
-    res.to_csv(p)
-    lines = p.read_text().strip().splitlines()
+    a = k * 4.0 + rng.standard_normal(d) * 0.2
+    data = tmp_path / "d.csv"
+    rows = "".join(f"{t},{x!r}\n" for t, x in enumerate(a.tolist()))
+    data.write_text("timestamp,a\n" + rows)
+    labels = tmp_path / "l.csv"
+    labels.write_text("timestamp,label\n" + "".join(f"{t},{y}\n" for t, y in enumerate(k)))
+    out = tmp_path / "out"
+    config = PipelineConfig(data={"csv": str(data), "labels": str(labels)}, out=str(out))
+    run_stage(config, "select")
+    lines = (out / "selection.csv").read_text().strip().splitlines()
     assert lines[0] == "metric,r,t,p,retained"
     assert lines[1].startswith("a,")
     assert lines[1].endswith(",1")
