@@ -82,15 +82,6 @@ class MetricFrame:
     def n_metrics(self) -> int:
         return self.values.shape[1]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, MetricFrame)
-            and self.interval == other.interval
-            and self.names == other.names
-            and np.array_equal(self.timestamps, other.timestamps)
-            and np.array_equal(self.values, other.values)
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class LabelSeries:
@@ -112,13 +103,6 @@ class LabelSeries:
 
     def __len__(self) -> int:
         return self.labels.shape[0]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LabelSeries)
-            and np.array_equal(self.timestamps, other.timestamps)
-            and np.array_equal(self.labels, other.labels)
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,24 +146,6 @@ class SelectedFrame:
     @property
     def n_samples(self) -> int:
         return self.values.shape[0]
-
-    def __eq__(self, other):
-        if not isinstance(other, SelectedFrame):
-            return False
-        def same(a, b):
-            if a is None or b is None:
-                return a is b
-            return np.array_equal(a, b)
-        return (
-            self.method == other.method
-            and self.columns == other.columns
-            and self.source_indices == other.source_indices
-            and np.array_equal(self.timestamps, other.timestamps)
-            and np.array_equal(self.values, other.values)
-            and same(self.projection, other.projection)
-            and same(self.col_means, other.col_means)
-            and same(self.col_stds, other.col_stds)
-        )
 
     def to_dict(self) -> dict:
         """How the columns were chosen; the selected matrix itself is left out."""
@@ -225,15 +191,6 @@ class ScoreMatrix:
     def n_learners(self) -> int:
         return self.values.shape[1]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ScoreMatrix)
-            and self.learner_names == other.learner_names
-            and np.array_equal(self.values, other.values)
-            and np.array_equal(self.norm_means, other.norm_means)
-            and np.array_equal(self.norm_stds, other.norm_stds)
-        )
-
 
 @dataclass(frozen=True)
 class EvaluationBlock:
@@ -273,15 +230,6 @@ class DiagnosisReport:
                 raise ValueError("verdicts must equal probabilities >= threshold")
         object.__setattr__(self, "probabilities", _frozen(probs))
         object.__setattr__(self, "verdicts", _frozen(verdicts))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DiagnosisReport)
-            and self.threshold == other.threshold
-            and np.array_equal(self.probabilities, other.probabilities)
-            and np.array_equal(self.verdicts, other.verdicts)
-            and self.evaluation == other.evaluation
-        )
 
 
 def standardize(values: np.ndarray):

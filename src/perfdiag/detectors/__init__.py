@@ -44,10 +44,10 @@ class DetectorSpec:
             raise InvalidConfig(f"unknown detector kind {self.kind!r}")
         if not 0.0 < self.anomaly_fraction < 1.0:
             raise InvalidConfig("anomaly_fraction must lie in (0, 1)")
-        if self.n_trees < 1 or self.subsample < 1:
-            raise InvalidConfig("n_trees and subsample must be >= 1")
-        if self.knn_k < 1 or self.lof_k < 1:
-            raise InvalidConfig("neighbor counts must be >= 1")
+        for name in ("n_trees", "subsample", "knn_k", "lof_k"):
+            value = getattr(self, name)
+            if not (type(value) is int and value >= 1):
+                raise InvalidConfig(f"{name} must be an integer >= 1, got {value!r}")
         if self.nu is not None and not 0.0 < self.nu < 1.0:
             raise InvalidConfig("nu must lie in (0, 1)")
 
@@ -69,13 +69,6 @@ class ScoreVector:
             )
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ScoreVector)
-            and self.learner == other.learner
-            and np.array_equal(self.values, other.values)
-        )
 
 
 def fit_score(spec: DetectorSpec, data: SelectedFrame) -> ScoreVector:

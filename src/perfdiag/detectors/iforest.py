@@ -23,87 +23,40 @@ def avg_path_length(m: int) -> float:
     return 2.0 * h - 2.0 * (m - 1) / m
 
 
-class _Tree:
-    """One isolation tree in flat-array form for vectorized routing.
-
-    Internal node i splits on feature[i] at split[i]; children in left[i] /
-    right[i]. Leaves have feature -1 and carry depth + c(leaf size) in
-    ``adjust`` so a routed point's path length is read off directly.
-    """
-
-    __slots__ = ("feature", "split", "left", "right", "adjust")
-
-    def __init__(self, X: np.ndarray, rng: np.random.Generator, height_limit: int):
-        feature: list[int] = []
-        split: list[float] = []
-        left: list[int] = []
-        right: list[int] = []
-        adjust: list[float] = []
-
-        def new_node() -> int:
-            feature.append(-1)
-            split.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            adjust.append(0.0)
-            return len(feature) - 1
-
-        def build(rows: np.ndarray, depth: int) -> int:
-            node = new_node()
-            if depth >= height_limit or rows.shape[0] <= 1:
-                adjust[node] = depth + avg_path_length(rows.shape[0])
-                return node
-            sub = X[rows]
-            lo = sub.min(axis=0)
-            hi = sub.max(axis=0)
-            usable = np.flatnonzero(hi > lo)
-            if usable.size == 0:
-                adjust[node] = depth + avg_path_length(rows.shape[0])
-                return node
-            f = int(usable[rng.integers(usable.size)])
-            s = float(rng.uniform(lo[f], hi[f]))
-            mask = sub[:, f] < s
-            feature[node] = f
-            split[node] = s
-            left[node] = build(rows[mask], depth + 1)
-            right[node] = build(rows[~mask], depth + 1)
-            return node
-
-        build(np.arange(X.shape[0]), 0)
-        self.feature = np.asarray(feature, dtype=np.int64)
-        self.split = np.asarray(split, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.int64)
-        self.right = np.asarray(right, dtype=np.int64)
-        self.adjust = np.asarray(adjust, dtype=np.float64)
-
-    def path_lengths(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        rows = np.arange(X.shape[0])
-        while True:
-            active = self.feature[node] >= 0
-            if not active.any():
-                break
-            idx = node[active]
-            r = rows[active]
-            goes_left = X[r, self.feature[idx]] < self.split[idx]
-            node[r] = np.where(goes_left, self.left[idx], self.right[idx])
-        return self.adjust[node]
-
-
 def iforest_scores(
     X: np.ndarray,
     rng: np.random.Generator,
     n_trees: int = 100,
     subsample: int = 256,
 ) -> np.ndarray:
-    """Fit n_trees trees on subsamples of X and score every row of X."""
+    """Fit n_trees trees on subsamples of X and score every row of X.
+
+    Each tree is grown depth-first on its subsample while every row of X is
+    routed down beside it, so a row's path length, depth + c(leaf size), is
+    added where it lands and no tree outlives the pass that grew it.
+    """
     d = X.shape[0]
     psi = min(subsample, d)
     height_limit = max(1, math.ceil(math.log2(psi))) if psi > 1 else 1
     total = np.zeros(d, dtype=np.float64)
+
+    def grow(sub: np.ndarray, rows: np.ndarray, depth: int) -> None:
+        """Split the subsample rows ``sub``; ``rows`` index the rows of X here."""
+        if depth < height_limit and sub.shape[0] > 1:
+            lo = sub.min(axis=0)
+            hi = sub.max(axis=0)
+            usable = np.flatnonzero(hi > lo)
+            if usable.size:
+                f = int(usable[rng.integers(usable.size)])
+                s = float(rng.uniform(lo[f], hi[f]))
+                left = sub[:, f] < s
+                goes_left = X[rows, f] < s
+                grow(sub[left], rows[goes_left], depth + 1)
+                grow(sub[~left], rows[~goes_left], depth + 1)
+                return
+        total[rows] += depth + avg_path_length(sub.shape[0])
+
     for _ in range(n_trees):
-        rows = rng.choice(d, size=psi, replace=False)
-        tree = _Tree(X[rows], rng, height_limit)
-        total += tree.path_lengths(X)
+        grow(X[rng.choice(d, size=psi, replace=False)], np.arange(d), 0)
     mean_depth = total / n_trees
     return np.power(2.0, -mean_depth / avg_path_length(psi))

@@ -1,6 +1,6 @@
 """Distance-based detectors: k-th-neighbor distance (KNN) and LOF.
 
-Both read one neighbour pass, ``_neighbors``. It screens candidate pairs
+Each runs its own pass of ``_neighbors`` at its own k. It screens pairs
 with the Gram identity ||c_i - c_j||^2 = s_i + s_j - 2 c_i.c_j on
 column-centred rows, then re-ranks only the candidates with the exact
 (x - y)^2 expansion on the original rows. The screen keeps every pair

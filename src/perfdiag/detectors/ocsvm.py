@@ -16,6 +16,9 @@ import numpy as np
 from ..errors import NumericalFailure, TooFewSamples
 
 _TAU = 1e-12
+_TOL = 1e-4  # SMO stops once the KKT gap is at most this
+_FIT_CAP = 4096  # larger inputs are fitted on a seeded subsample of this many rows
+_KERNEL_BLOCK_BYTES = 1 << 20
 
 
 def rbf_gamma(X: np.ndarray) -> float:
@@ -29,16 +32,21 @@ def rbf_gamma(X: np.ndarray) -> float:
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     sq_a = np.einsum("ij,ij->i", A, A)
     sq_b = np.einsum("ij,ij->i", B, B)
-    # one output buffer: same operations in the same order as
-    # exp(-gamma * clip(sq_a + sq_b - 2 A.B^T)), without the temporaries
-    sq = sq_a[:, None] + sq_b[None, :]
-    G = A @ B.T
-    G *= 2.0
-    sq -= G
-    del G
-    np.clip(sq, 0.0, None, out=sq)
-    sq *= -gamma
-    return np.exp(sq, out=sq)
+    # exp(-gamma * clip(sq_a + sq_b - 2 A.B^T)) with the same operations in the
+    # same order, written into the product's own buffer one row block at a
+    # time: a second full-size buffer would double the fit's peak memory and
+    # stack it on whatever heap the neighbour passes left resident
+    K = A @ B.T
+    step = max(1, _KERNEL_BLOCK_BYTES // (8 * K.shape[1]))
+    for lo in range(0, K.shape[0], step):
+        rows = K[lo:lo + step]
+        sq = sq_a[lo:lo + step, None] + sq_b[None, :]
+        rows *= 2.0
+        sq -= rows
+        np.clip(sq, 0.0, None, out=sq)
+        sq *= -gamma
+        np.exp(sq, out=rows)
+    return K
 
 
 @dataclass(frozen=True)
@@ -59,8 +67,6 @@ def ocsvm_fit(
     X: np.ndarray,
     nu: float,
     gamma: float | None = None,
-    tol: float = 1e-4,
-    max_iter: int | None = None,
 ) -> OcsvmModel:
     """Solve the one-class dual on X; raises NumericalFailure at the cap."""
     n = X.shape[0]
@@ -82,8 +88,7 @@ def ocsvm_fit(
         alpha[n_full] = 1.0 - n_full * C
     grad = Q @ alpha
 
-    if max_iter is None:
-        max_iter = max(100_000, 50 * n)
+    max_iter = max(100_000, 50 * n)
     diag = np.diag(Q).copy()
     it = 0
     while True:
@@ -92,7 +97,7 @@ def ocsvm_fit(
         g_up = np.where(can_up, grad, np.inf)
         i = int(np.argmin(g_up))
         gap = np.max(np.where(can_down, grad, -np.inf)) - g_up[i]
-        if gap <= tol:
+        if gap <= _TOL:
             break
         if it >= max_iter:
             raise NumericalFailure(
@@ -132,16 +137,14 @@ def ocsvm_scores(
     nu: float,
     rng: np.random.Generator,
     gamma: float | None = None,
-    tol: float = 1e-4,
-    fit_cap: int = 4096,
 ) -> np.ndarray:
-    """Fit on X (a seeded subsample above ``fit_cap`` rows) and score all rows.
+    """Fit on X (a seeded subsample above ``_FIT_CAP`` rows) and score all rows.
 
     Score is the negated decision value, so outliers score high.
     """
-    if X.shape[0] > fit_cap:
-        rows = np.sort(rng.choice(X.shape[0], size=fit_cap, replace=False))
-        model = ocsvm_fit(X[rows], nu=nu, gamma=gamma, tol=tol)
+    if X.shape[0] > _FIT_CAP:
+        rows = np.sort(rng.choice(X.shape[0], size=_FIT_CAP, replace=False))
+        model = ocsvm_fit(X[rows], nu=nu, gamma=gamma)
     else:
-        model = ocsvm_fit(X, nu=nu, gamma=gamma, tol=tol)
+        model = ocsvm_fit(X, nu=nu, gamma=gamma)
     return -model.decision(X)

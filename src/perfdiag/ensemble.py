@@ -24,6 +24,8 @@ from .errors import (
     ShapeMismatch,
 )
 
+_MI_BINS = 10
+
 
 def assemble(scores: Sequence[ScoreVector]) -> ScoreMatrix:
     """Stack score vectors into a column-normalized matrix.
@@ -84,9 +86,6 @@ class EnsembleWeights:
         w.flags.writeable = False
         object.__setattr__(self, "w", w)
 
-    def __eq__(self, other):
-        return isinstance(other, EnsembleWeights) and np.array_equal(self.w, other.w)
-
 
 def ensemble_weighted(M: ScoreMatrix, weights: EnsembleWeights) -> ScoreVector:
     if weights.w.shape[0] != M.n_learners:
@@ -96,13 +95,13 @@ def ensemble_weighted(M: ScoreMatrix, weights: EnsembleWeights) -> ScoreVector:
     return ScoreVector(values=M.values @ weights.w, learner="weighted")
 
 
-def _discretize(col: np.ndarray, bins: int) -> np.ndarray:
+def _discretize(col: np.ndarray) -> np.ndarray:
     lo = col.min()
     hi = col.max()
     if hi == lo:
         return np.zeros(col.shape[0], dtype=np.int64)
-    idx = np.floor((col - lo) / (hi - lo) * bins).astype(np.int64)
-    return np.clip(idx, 0, bins - 1)
+    idx = np.floor((col - lo) / (hi - lo) * _MI_BINS).astype(np.int64)
+    return np.clip(idx, 0, _MI_BINS - 1)
 
 
 def _entropy(counts: np.ndarray) -> float:
@@ -110,8 +109,8 @@ def _entropy(counts: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def _mutual_info(a: np.ndarray, b: np.ndarray, bins: int) -> float:
-    joint = np.zeros((bins, bins), dtype=np.float64)
+def _mutual_info(a: np.ndarray, b: np.ndarray) -> float:
+    joint = np.zeros((_MI_BINS, _MI_BINS), dtype=np.float64)
     np.add.at(joint, (a, b), 1.0)
     p = joint / joint.sum()
     pa = p.sum(axis=1)
@@ -121,25 +120,25 @@ def _mutual_info(a: np.ndarray, b: np.ndarray, bins: int) -> float:
     return float((p[mask] * np.log(p[mask] / outer[mask])).sum())
 
 
-def mi_weights(M: ScoreMatrix, bins: int = 10) -> EnsembleWeights:
+def mi_weights(M: ScoreMatrix) -> EnsembleWeights:
     """Diversity weights from normalized pairwise mutual information.
 
-    Each column is cut into equal-width bins over its own range; MI between
-    column pairs (in nats) is normalized by sqrt(H_i * H_j), taken as 0 when
-    either entropy is 0. A learner's diversity is one minus its mean
-    normalized MI with the others; weights are diversities normalized to
-    sum 1, falling back to uniform when all diversities vanish.
+    Each column is cut into _MI_BINS equal-width bins over its own range;
+    MI between column pairs (in nats) is normalized by sqrt(H_i * H_j),
+    taken as 0 when either entropy is 0. A learner's diversity is one minus
+    its mean normalized MI with the others; weights are diversities
+    normalized to sum 1, falling back to uniform when all diversities vanish.
     """
     k = M.n_learners
     if k == 1:
         return EnsembleWeights(w=np.ones(1))
-    disc = [_discretize(M.values[:, i], bins) for i in range(k)]
-    ent = np.array([_entropy(np.bincount(c, minlength=bins).astype(float)) for c in disc])
+    disc = [_discretize(M.values[:, i]) for i in range(k)]
+    ent = np.array([_entropy(np.bincount(c, minlength=_MI_BINS).astype(float)) for c in disc])
     nmi = np.zeros((k, k))
     for i in range(k):
         for j in range(i + 1, k):
             if ent[i] > 0 and ent[j] > 0:
-                nmi[i, j] = nmi[j, i] = _mutual_info(disc[i], disc[j], bins) / math.sqrt(
+                nmi[i, j] = nmi[j, i] = _mutual_info(disc[i], disc[j]) / math.sqrt(
                     ent[i] * ent[j]
                 )
     diversity = 1.0 - (nmi.sum(axis=1) / (k - 1))

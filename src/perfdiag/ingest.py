@@ -9,12 +9,11 @@ be measured against exact ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import LabelSeries, MetricFrame, dumps_json
+from .core import LabelSeries, MetricFrame
 from .errors import (
     EmptyGroundTruth,
     InvalidConfig,
@@ -52,9 +51,6 @@ class GroundTruth:
             "root_causes": list(self.root_causes),
             "windows": [list(w) for w in self.windows],
         }
-
-    def save(self, path) -> None:
-        Path(path).write_text(dumps_json(self.to_dict()) + "\n")
 
 
 TIMESTAMP = ("timestamp", int)

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DiagnosisReport, ScoreMatrix, dumps_json
+from .core import DiagnosisReport, ScoreMatrix
 from .errors import (
     InvalidConfig,
     NonFiniteLoss,
@@ -117,16 +117,6 @@ class MlpModel:
         w1, _, w2, _, w3, _ = self.params
         return (w1.shape[0], w1.shape[1], w2.shape[1], w3.shape[1])
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, MlpModel)
-            and self.config == other.config
-            and self.shift == other.shift
-            and self.threshold == other.threshold
-            and self.norm == other.norm
-            and all(np.array_equal(a, b) for a, b in zip(self.params, other.params))
-        )
-
     def to_dict(self) -> dict:
         w1, b1, w2, b2, w3, b3 = self.params
         return {
@@ -146,9 +136,6 @@ class MlpModel:
                 "stds": list(self.norm.stds),
             },
         }
-
-    def save(self, path) -> None:
-        Path(path).write_text(dumps_json(self.to_dict()) + "\n")
 
     @classmethod
     def load(cls, path) -> "MlpModel":

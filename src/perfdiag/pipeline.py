@@ -92,16 +92,19 @@ class PipelineConfig:
             raise InvalidConfig(f"ensemble must be one of {ENSEMBLES}")
         if not 0.0 < self.train_fraction < 1.0:
             raise InvalidConfig("train_fraction must lie in (0, 1)")
-        if not 0.0 < self.anomaly_fraction < 1.0:
-            raise InvalidConfig("anomaly_fraction must lie in (0, 1)")
         if not 0.0 < self.alpha < 1.0:
             raise InvalidConfig("alpha must lie in (0, 1)")
         if self.shift < 0:
             raise InvalidConfig("shift must be >= 0")
         if self.walks < 1:
             raise InvalidConfig("walks must be >= 1")
+        counts = (("select.n_fixed", self.pca_components), ("rca.length", self.walk_length))
+        for where, value in counts:
+            if value is not None and not (type(value) is int and value >= 1):
+                raise InvalidConfig(f"{where} must be an integer >= 1, got {value!r}")
         _check_keys(self.detector_overrides, "detect", DETECTOR_SETTINGS)
-        # the checks a direct train_deep call makes, at config load
+        # the checks the detect and train stages make, at config load
+        DetectorSpec(KINDS[0], self.anomaly_fraction, **self.detector_overrides)
         TrainConfig(epochs=self.epochs, batch=self.batch, lr=self.lr)
         if not -(2**63) <= self.seed < 2**64:
             raise InvalidConfig("seed must fit in 64 bits")

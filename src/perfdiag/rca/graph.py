@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..core import dumps_json, standardize
+from ..core import standardize
 from ..errors import InvalidConfig, SingularSubmatrixWarning
 
 # conditioning sets per batched inverse: an edge's first chunk is small
@@ -92,14 +92,6 @@ class CausalGraph:
                     queue.append(c)
         return seen != len(self.nodes)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, CausalGraph)
-            and self.nodes == other.nodes
-            and self.directed == other.directed
-            and self.undirected == other.undirected
-        )
-
     def predecessors(self, node: str) -> tuple[str, ...]:
         """Directed parents plus undirected neighbors, sorted."""
         return self._preds.get(node, ())
@@ -118,9 +110,6 @@ class CausalGraph:
             directed=tuple((u, v) for u, v in d["directed"]),
             undirected=tuple((a, b) for a, b in d["undirected"]),
         )
-
-    def save(self, path) -> None:
-        Path(path).write_text(dumps_json(self.to_dict()) + "\n")
 
     @classmethod
     def load(cls, path) -> "CausalGraph":

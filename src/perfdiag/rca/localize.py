@@ -47,23 +47,22 @@ class RootCauseRanking:
 
 def random_walk(
     graph: CausalGraph,
-    start: str = INDICATOR,
     length: Optional[int] = None,
     seed: int = 0,
 ) -> list[str]:
-    """One walk from ``start`` toward causes, at most ``length`` nodes long.
+    """One walk from the indicator toward causes, at most ``length`` nodes.
 
     Stops early when the current node has no unvisited predecessor.
     """
-    if start not in graph.nodes:
-        raise InvalidConfig(f"start node {start!r} not in graph")
+    if INDICATOR not in graph.nodes:
+        raise InvalidConfig("graph has no indicator node")
     if length is None:
         length = len(graph.nodes)
     if length < 1:
         raise InvalidConfig(f"walk length must be >= 1, got {length}")
     rng = np.random.default_rng(seed)
-    path = [start]
-    visited = {start}
+    path = [INDICATOR]
+    visited = {INDICATOR}
     while len(path) < length:
         options = [p for p in graph.predecessors(path[-1]) if p not in visited]
         if not options:
@@ -96,7 +95,7 @@ def localize(
         return RootCauseRanking(entries=(), total_walks=total_walks)
     counts: dict[str, int] = {}
     for w in range(total_walks):
-        path = random_walk(graph, INDICATOR, length, seed=derive_seed(seed, w))
+        path = random_walk(graph, length, seed=derive_seed(seed, w))
         if len(path) < 2:
             continue
         counts[path[-1]] = counts.get(path[-1], 0) + 1

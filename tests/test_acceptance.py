@@ -416,7 +416,9 @@ def test_criterion_09_shift_zero_identity_and_monotone_decay():
         if seed == 0:
             plain = train_deep(trX, trY, tc)
             zero = train_deep(trX, trY, tc, shift=0)
-            assert plain == zero, "shift-0 model differs from standard training"
+            assert plain.to_dict() == zero.to_dict(), (
+                "shift-0 model differs from standard training"
+            )
             rep_plain = predict_deep(plain, teX)
             rep_zero = predict_deep(zero, teX)
             assert np.array_equal(rep_plain.probabilities, rep_zero.probabilities)

@@ -81,8 +81,8 @@ def test_iforest_deterministic_and_seed_sensitive():
     a = fit_score(DetectorSpec(kind="iforest", seed=7), f)
     b = fit_score(DetectorSpec(kind="iforest", seed=7), f)
     c = fit_score(DetectorSpec(kind="iforest", seed=8), f)
-    assert a == b
-    assert a != c
+    np.testing.assert_array_equal(a.values, b.values)
+    assert not np.array_equal(a.values, c.values)
 
 
 def test_iforest_scores_in_unit_interval():
@@ -91,6 +91,80 @@ def test_iforest_scores_in_unit_interval():
     assert scores.shape == (120,)
     assert (scores > 0.0).all()
     assert (scores <= 1.0).all()
+
+
+# iforest_scores on the input below, recorded before the trees were grown and
+# scored in one pass; any change to the RNG draw order or the routing shows
+IFOREST_RECORDED = np.array([
+    0.5126046890326689, 0.4286100735646346, 0.4819167269607285, 0.42791388576126993,
+    0.48784537591359284, 0.45254468876244314, 0.3903386438825144, 0.38663187518622955,
+    0.4633735226584392, 0.4578124965164866, 0.5047161851651898, 0.4892648926782654,
+    0.42624746340109043, 0.4627499360465572, 0.404378363414085, 0.42320458803014843,
+    0.4245646994689123, 0.4107419703443426, 0.4728035948496842, 0.4117721259167909,
+    0.4027276218681765, 0.4278703543647238, 0.4243257484362878, 0.4192432923223173,
+    0.48762963947282656, 0.5183258682567375, 0.5960931703984106, 0.42963890828339846,
+    0.42035696882620494, 0.39341540070723313, 0.474579153268575, 0.4101659555367739,
+    0.4217346950412171, 0.5483357529127572, 0.5896496980194115, 0.5646669749820957,
+    0.3954241533663997, 0.4469121648344902, 0.41771690602668476, 0.47824525859596806,
+    0.5757903528404792, 0.4436645849930575, 0.4271280300947976, 0.5278282891951961,
+    0.5647282044596176, 0.39127424777190983, 0.40229097568740346, 0.5522641085145279,
+    0.46819483557276553, 0.4409973730232838, 0.44201815736380423, 0.4203315678165304,
+    0.45234018824448685, 0.5602881281534002, 0.48272635223306726, 0.4222404299982754,
+    0.4043622649932153, 0.42712925291038634, 0.44039455500188196, 0.46412422902077993,
+    0.46404089453931924, 0.43832509649135987, 0.40358270955489894, 0.4255530488673763,
+    0.488130745409716, 0.4077843170522, 0.415928794671271, 0.3886718310297506,
+    0.47453621137870167, 0.6332368543226847, 0.4502330800972944, 0.4101276309901165,
+    0.4068290881317961, 0.40817705660597126, 0.4621300087039126, 0.45565448004452036,
+    0.40657013670380127, 0.4105837280061388, 0.3984216055502654, 0.4218776329947698,
+    0.4136599249458405, 0.4354604112329815, 0.5237863310082468, 0.5909405331755253,
+    0.5818901814115369, 0.4295554416960576, 0.43201431013390523, 0.4458360946255388,
+    0.44236605419766567, 0.4537145060318275, 0.4303550289202444, 0.4043622649932153,
+    0.5467386979639656, 0.4552940526014305, 0.571582749283043, 0.5533272906137838,
+    0.46961452211706645, 0.5254973172611264, 0.493918020141336, 0.3938684752190094,
+    0.42768155081398057, 0.48162373099598976, 0.416683305132972, 0.5172000686168908,
+    0.4128219496921384, 0.39528974492029095, 0.5566806925385361, 0.44552912084138274,
+    0.3931450180836072, 0.44662575349795364, 0.42168401980452325, 0.38785716856751784,
+    0.4994858623560956, 0.5373910616157086, 0.45104131269666536, 0.4009241205468351,
+    0.46430540820684446, 0.4285552711858829, 0.45509999404742946, 0.4846906170445326,
+    *[0.35246884618713115] * 60,  # rows 120-179, the stall
+    0.4019871449200472, 0.48029801647713155, 0.44099178825724383, 0.43823762729635674,
+    0.4054913332447212, 0.4378054999764553, 0.48402204081736006, 0.5095463023436964,
+    0.46322848773162384, 0.4119893772370391, 0.5483181597806068, 0.4266204023324746,
+    0.4547341699965907, 0.4729985516257004, 0.4203429476564308, 0.5126452585146145,
+    0.4047783891306671, 0.4241340611862061, 0.5407475796355141, 0.5983678979455824,
+    0.45673364727293964, 0.5115017620140898, 0.5825161076992875, 0.424906353261844,
+    0.3946707559131267, 0.4479597653520746, 0.5377144053634415, 0.4503777401412309,
+    0.42963890828339846, 0.40130259448368444, 0.4024312706796589, 0.497461132143921,
+    0.5447154935220963, 0.38647211235033085, 0.4228095996615689, 0.47962519208956034,
+    0.48545627788296186, 0.41770768662819957, 0.5895791896043673, 0.5167010501945521,
+    0.4659160006730698, 0.5541702215429871, 0.3968423245365221, 0.5455241461290979,
+    0.4221313930637339, 0.46845678086126386, 0.47050033384744133, 0.40188283238116945,
+    0.44420306126750614, 0.4569326075312839, 0.46867776898089974, 0.40626422163079123,
+    0.40092648659933255, 0.41129254095436846, 0.5289023312390261, 0.44753168329837884,
+    0.41656082916833487, 0.4514487129523063, 0.530786211231935, 0.46982633577715066,
+    0.4636156205878693, 0.43833820560388126, 0.4584317904794676, 0.5633832690605761,
+    0.5286645696842932, 0.5541121860971161, 0.4136588306418157, 0.521423575674326,
+    0.42417715916104437, 0.4020871754986505, 0.5110574381019227, 0.4512383453871344,
+    0.46194165721907066, 0.5315670732772838, 0.5083749581415737, 0.4692245210924025,
+    0.4964315210952459, 0.38412495875568176, 0.420297126338486, 0.4118775871139937,
+    0.44287953300146055, 0.41513744869642155, 0.5232032617919741, 0.4020000018107739,
+    0.4894260722749205, 0.4802927748172664, 0.4015920600869237, 0.4380807084002578,
+    0.4667853392064658, 0.5143622524448251, 0.5429378414689098, 0.42993171925273416,
+    0.44762172130407085, 0.4318829347311083, 0.4227640116229299, 0.44699995723886915,
+    0.3966936933528464, 0.44464695848599584, 0.4133608543400956, 0.42826035161375725,
+    0.4813130982816105, 0.4592013408040313, 0.5235276451198932, 0.518836281273001,
+    0.46126698272285177, 0.4395765093421624, 0.4337181168342072, 0.43114320895577407,
+    0.41971216513415516, 0.39278870994966225, 0.5268726518873732, 0.4562774275555668,
+    0.44490963150306395, 0.4143586715071544, 0.4398525228436159, 0.4763402881544873,
+    0.53965630846527, 0.4616173287447472, 0.4056336157567892, 0.43122145528964095,
+])
+
+
+def test_iforest_scores_match_recorded_values():
+    X = np.round(np.random.default_rng(2024).standard_normal((300, 4)) * 4) / 4
+    X[120:180] = X[120]  # a stall: 60 identical rows
+    scores = iforest_scores(X, np.random.default_rng(9))
+    np.testing.assert_allclose(scores, IFOREST_RECORDED, rtol=1e-15, atol=0)
 
 
 def test_every_learner_ranks_gross_outlier_first():
@@ -286,6 +360,16 @@ def test_rbf_kernel_diag_is_one():
     np.testing.assert_allclose(np.diag(K), np.ones(20), atol=1e-12)
     assert (K <= 1.0 + 1e-12).all()
     assert (K > 0.0).all()
+
+
+def test_rbf_kernel_blocks_match_the_whole_matrix_formula():
+    # 1,000 x 300 spans three row blocks; each entry is computed with the
+    # same operations in the same order as the formula, so the match is exact
+    rng = np.random.default_rng(8)
+    A, B = rng.standard_normal((1000, 4)), rng.standard_normal((300, 4))
+    sq_a, sq_b = np.einsum("ij,ij->i", A, A), np.einsum("ij,ij->i", B, B)
+    want = np.exp(-0.3 * np.clip(sq_a[:, None] + sq_b[None, :] - 2.0 * (A @ B.T), 0.0, None))
+    np.testing.assert_array_equal(rbf_kernel(A, B, gamma=0.3), want)
 
 
 def test_ocsvm_too_few_points():

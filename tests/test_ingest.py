@@ -1,7 +1,5 @@
 """CSV/SMD loading and the synthetic fault generator."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -82,13 +80,11 @@ def test_ground_truth_requires_causes_for_windows():
         GroundTruth(edges=(), root_causes=(), windows=((0, 9),))
 
 
-def test_ground_truth_roundtrip(tmp_path):
+def test_ground_truth_roundtrip():
     gt = GroundTruth(
         edges=(("a", "b"),), root_causes=("a",), windows=((5, 9), (20, 24))
     )
-    p = tmp_path / "gt.json"
-    gt.save(p)
-    assert json.loads(p.read_text()) == {
+    assert gt.to_dict() == {
         "edges": [["a", "b"]], "root_causes": ["a"], "windows": [[5, 9], [20, 24]],
     }
 

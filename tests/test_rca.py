@@ -7,6 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from perfdiag.core import dumps_json
 from perfdiag.errors import (
     EmptyGroundTruth,
     InvalidConfig,
@@ -65,10 +66,10 @@ def test_graph_predecessors_sorted():
 
 def test_graph_round_trip(tmp_path):
     g = graph(("a", "b", "c"), directed=(("a", "b"),), undirected=(("b", "c"),))
-    assert CausalGraph.from_dict(g.to_dict()) == g
+    assert CausalGraph.from_dict(g.to_dict()).to_dict() == g.to_dict()
     path = tmp_path / "graph.json"
-    g.save(path)
-    assert CausalGraph.load(path) == g
+    path.write_text(dumps_json(g.to_dict()))
+    assert CausalGraph.load(path).to_dict() == g.to_dict()
 
 
 def test_graph_edge_list_text():
@@ -177,7 +178,7 @@ def test_pc_deterministic():
     data = rng.standard_normal((800, 4))
     data[:, 3] += data[:, 0] + data[:, 1]
     names = ("a", "b", "c", "d")
-    assert pc_build(data, names) == pc_build(data, names)
+    assert pc_build(data, names).to_dict() == pc_build(data, names).to_dict()
 
 
 def test_pc_rejects_name_mismatch():
@@ -307,7 +308,7 @@ def test_walk_does_not_revisit_over_undirected_edges():
 def test_walk_validation():
     g = graph(("indicator", "A"), directed=(("A", "indicator"),))
     with pytest.raises(InvalidConfig):
-        random_walk(g, start="missing")
+        random_walk(graph(("A",)))
     with pytest.raises(InvalidConfig):
         random_walk(g, length=0)
 
