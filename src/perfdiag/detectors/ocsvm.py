@@ -9,6 +9,7 @@ argmin/argmax resolve to the lowest index.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,10 @@ _TAU = 1e-12
 _TOL = 1e-4  # SMO stops once the KKT gap is at most this
 _FIT_CAP = 4096  # larger inputs are fitted on a seeded subsample of this many rows
 _KERNEL_BLOCK_BYTES = 1 << 20
+try:  # glibc's malloc_trim; a no-op under C libraries that have none
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, TypeError):
+    _malloc_trim = lambda pad: 0
 
 
 def rbf_gamma(X: np.ndarray) -> float:
@@ -77,6 +82,10 @@ def ocsvm_fit(
     if gamma is None:
         gamma = rbf_gamma(X)
     C = 1.0 / (nu * n)
+    # the neighbour passes' freed blocks raise glibc's mmap and trim thresholds,
+    # so a data-dependent part of the heap stays resident; handing it back keeps
+    # the peak, the full kernel below, from stacking on that amount
+    _malloc_trim(0)
     Q = rbf_kernel(X, X, gamma)
 
     # deterministic feasible start: pack mass C into the first floor(nu*n)

@@ -415,8 +415,6 @@ def _detect(run: _Run) -> None:
     vectors = []
     for kind in KINDS:
         vec = fit_score(_detector_spec(run, kind), run.selected)
-        # unnamed, the text is freed before the next learner runs; kept alive,
-        # it pins the heap top and the learner's freed blocks stay resident
         run.write(
             f"scores_{kind}.csv", format_table(SCORES, [run.selected.timestamps, vec.values])
         )
