@@ -11,7 +11,8 @@ brute-force oracle, and they do not depend on how BLAS orders its sums.
 
 Memory is bounded by a fixed byte budget: the Gram matrix is built one
 block of rows at a time, each block at most ``_BLOCK_BYTES``, and the exact
-re-rank runs over candidate pairs in slices of the same size. Only the
+re-rank runs over candidate pairs in slices of the same size. A pass holds
+at most two blocks at once, a Gram block and its partitioned copy. Only the
 tie-inclusive neighbour lists grow with the input.
 """
 
@@ -72,7 +73,7 @@ def _neighbors(X: np.ndarray, k: int):
         G += s[start:stop, None]
         G += s[None, :]
         G[local, local + start] = np.inf  # exclude self
-        g_k = np.partition(G, k - 1, axis=1)[:, k - 1]
+        g_k = np.partition(G, k - 1, axis=1)[:, k - 1].copy()  # frees the partitioned block
         # row-major: rows ascending, columns ascending within each row
         hits = np.flatnonzero(G <= (g_k + margin[start:stop])[:, None])
         rows, cols = np.divmod(hits, d)

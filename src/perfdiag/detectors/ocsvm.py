@@ -1,15 +1,20 @@
 """One-class SVM (nu-parameterized, RBF kernel) solved by SMO.
 
-Dual problem: minimize (1/2) a^T Q a subject to 0 <= a_i <= 1/(nu*n) and
-sum(a) = 1, with Q the RBF Gram matrix. Pairs are picked by maximal-
-violating-pair with a second-order gain rule; convergence is declared when
-the KKT gap drops below tolerance. Everything is deterministic: ties in
+Dual problem: minimize (1/2) a^T K a subject to 0 <= a_i <= 1/(nu*n) and
+sum(a) = 1, with K_ij = exp(-gamma ||x_i - x_j||^2). Pairs are picked by
+maximal-violating-pair with a second-order gain rule; convergence is declared
+when the KKT gap drops below tolerance. Everything is deterministic: ties in
 argmin/argmax resolve to the lowest index.
+
+Memory does not grow with the square of the input: each SMO iteration reads
+only kernel columns i and j and the diagonal, which is exactly 1, so the fit
+computes those two columns on demand, as LIBSVM does, and the starting
+gradient and the decision values are built in blocks of at most
+``_KERNEL_BLOCK_BYTES``.
 """
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +25,6 @@ _TAU = 1e-12
 _TOL = 1e-4  # SMO stops once the KKT gap is at most this
 _FIT_CAP = 4096  # larger inputs are fitted on a seeded subsample of this many rows
 _KERNEL_BLOCK_BYTES = 1 << 20
-try:  # glibc's malloc_trim; a no-op under C libraries that have none
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-except (AttributeError, TypeError):
-    _malloc_trim = lambda pad: 0
 
 
 def rbf_gamma(X: np.ndarray) -> float:
@@ -34,24 +35,24 @@ def rbf_gamma(X: np.ndarray) -> float:
     return 1.0 / (X.shape[1] * var)
 
 
-def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
+def rbf_kernel(
+    A: np.ndarray, B: np.ndarray, gamma: float, sq_b: np.ndarray | None = None
+) -> np.ndarray:
+    """exp(-gamma ||a - b||^2) for every row pair; sq_b may pass B's squared row norms."""
     sq_a = np.einsum("ij,ij->i", A, A)
+    if sq_b is None:
+        sq_b = np.einsum("ij,ij->i", B, B)
+    return np.exp(-gamma * np.clip(sq_a[:, None] + sq_b[None, :] - 2.0 * (A @ B.T), 0.0, None))
+
+
+def _kernel_sum(A: np.ndarray, B: np.ndarray, w: np.ndarray, gamma: float) -> np.ndarray:
+    """rbf_kernel(A, B, gamma) @ w, one block of A's rows at a time."""
     sq_b = np.einsum("ij,ij->i", B, B)
-    # exp(-gamma * clip(sq_a + sq_b - 2 A.B^T)) with the same operations in the
-    # same order, written into the product's own buffer one row block at a
-    # time: a second full-size buffer would double the fit's peak memory and
-    # stack it on whatever heap the neighbour passes left resident
-    K = A @ B.T
-    step = max(1, _KERNEL_BLOCK_BYTES // (8 * K.shape[1]))
-    for lo in range(0, K.shape[0], step):
-        rows = K[lo:lo + step]
-        sq = sq_a[lo:lo + step, None] + sq_b[None, :]
-        rows *= 2.0
-        sq -= rows
-        np.clip(sq, 0.0, None, out=sq)
-        sq *= -gamma
-        np.exp(sq, out=rows)
-    return K
+    out = np.empty(A.shape[0], dtype=np.float64)
+    step = max(1, _KERNEL_BLOCK_BYTES // (8 * B.shape[0]))
+    for lo in range(0, A.shape[0], step):
+        out[lo:lo + step] = rbf_kernel(A[lo:lo + step], B, gamma, sq_b) @ w
+    return out
 
 
 @dataclass(frozen=True)
@@ -64,8 +65,7 @@ class OcsvmModel:
 
     def decision(self, X: np.ndarray) -> np.ndarray:
         """Positive inside the learned region, negative outside."""
-        k = rbf_kernel(X, self.support_vectors, self.gamma)
-        return k @ self.alphas - self.rho
+        return _kernel_sum(X, self.support_vectors, self.alphas, self.gamma) - self.rho
 
 
 def ocsvm_fit(
@@ -82,11 +82,7 @@ def ocsvm_fit(
     if gamma is None:
         gamma = rbf_gamma(X)
     C = 1.0 / (nu * n)
-    # the neighbour passes' freed blocks raise glibc's mmap and trim thresholds,
-    # so a data-dependent part of the heap stays resident; handing it back keeps
-    # the peak, the full kernel below, from stacking on that amount
-    _malloc_trim(0)
-    Q = rbf_kernel(X, X, gamma)
+    sq = np.einsum("ij,ij->i", X, X)
 
     # deterministic feasible start: pack mass C into the first floor(nu*n)
     # coordinates, remainder into the next one
@@ -95,10 +91,10 @@ def ocsvm_fit(
     alpha[:n_full] = C
     if n_full < n:
         alpha[n_full] = 1.0 - n_full * C
-    grad = Q @ alpha
+    nonzero = slice(0, n_full + 1)
+    grad = _kernel_sum(X, X[nonzero], alpha[nonzero], gamma)  # K @ alpha
 
     max_iter = max(100_000, 50 * n)
-    diag = np.diag(Q).copy()
     it = 0
     while True:
         can_up = alpha < C - 1e-15
@@ -112,15 +108,17 @@ def ocsvm_fit(
             raise NumericalFailure(
                 f"ocsvm SMO not converged after {max_iter} iterations (gap {gap:.3e})"
             )
-        # second-order pair choice: largest decrease among movable j
+        # second-order pair choice: largest decrease among movable j. K is
+        # symmetric with a unit diagonal, so the rule needs only row i of K
+        k_i = rbf_kernel(X[i:i + 1], X, gamma, sq)[0]
         diff = grad - grad[i]
-        eta = np.maximum(diag + diag[i] - 2.0 * Q[:, i], _TAU)
+        eta = np.maximum(2.0 - 2.0 * k_i, _TAU)
         gain = np.where(can_down & (diff > 0.0), diff * diff / eta, -np.inf)
         j = int(np.argmax(gain))
         step = min(diff[j] / eta[j], C - alpha[i], alpha[j])
         alpha[i] += step
         alpha[j] -= step
-        grad += step * (Q[:, i] - Q[:, j])
+        grad += step * (k_i - rbf_kernel(X[j:j + 1], X, gamma, sq)[0])
         it += 1
 
     free = (alpha > 1e-12 * C) & (alpha < C * (1.0 - 1e-12))

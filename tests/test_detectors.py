@@ -11,7 +11,7 @@ from perfdiag.core import SelectedFrame
 from perfdiag.detectors import DetectorSpec, ScoreVector, fit_score, threshold
 from perfdiag.detectors.iforest import avg_path_length, iforest_scores
 from perfdiag.detectors.neighbors import knn_scores, lof_scores
-from perfdiag.detectors.ocsvm import ocsvm_fit, rbf_gamma, rbf_kernel
+from perfdiag.detectors.ocsvm import ocsvm_fit, ocsvm_scores, rbf_gamma, rbf_kernel
 from perfdiag.errors import InvalidConfig, NumericalFailure, TooFewSamples
 
 
@@ -23,6 +23,14 @@ def sel(X):
         columns=tuple(f"m{i}" for i in range(X.shape[1])),
         method="none",
     )
+
+
+def stalled_quarter_steps(rng, n, f):
+    """Values on a 0.25 grid, each 50-row stretch opening with a 5-row stall."""
+    X = np.round(rng.standard_normal((n, f)) * 4.0) / 4.0
+    for s in range(0, n, 50):
+        X[s + 1:s + 5] = X[s]
+    return X
 
 
 def knn_oracle(X, k):
@@ -255,10 +263,7 @@ def test_neighbor_pass_exact_on_hostile_inputs():
 def test_neighbor_pass_memory_bounded():
     # SMD width, quantized values and 5-row stalls
     start = time.perf_counter()
-    rng = np.random.default_rng(8)
-    X = np.round(rng.standard_normal((10_000, 38)) * 4.0) / 4.0
-    for s in range(0, 10_000, 50):
-        X[s + 1:s + 5] = X[s]
+    X = stalled_quarter_steps(np.random.default_rng(8), 10_000, 38)
     tracemalloc.start()
     try:
         knn_scores(X, 5)
@@ -269,6 +274,19 @@ def test_neighbor_pass_memory_bounded():
     elapsed = time.perf_counter() - start
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
     assert elapsed < 20.0, f"runtime budget 20 s exceeded: {elapsed:.1f}s"
+
+
+def test_knn_pass_frees_each_partitioned_block():
+    # a 3,000-row block is 8 MiB; the pass holds the Gram block and its
+    # partitioned copy, never a third block
+    X = np.random.default_rng(4).standard_normal((3000, 3))
+    tracemalloc.start()
+    try:
+        knn_scores(X, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # --- lof ------------------------------------------------------------------
@@ -363,13 +381,85 @@ def test_rbf_kernel_diag_is_one():
 
 
 def test_rbf_kernel_blocks_match_the_whole_matrix_formula():
-    # 1,000 x 300 spans three row blocks; each entry is computed with the
-    # same operations in the same order as the formula, so the match is exact
+    # each entry is computed with the same operations in the same order as
+    # the formula, so the match is exact
     rng = np.random.default_rng(8)
     A, B = rng.standard_normal((1000, 4)), rng.standard_normal((300, 4))
     sq_a, sq_b = np.einsum("ij,ij->i", A, A), np.einsum("ij,ij->i", B, B)
     want = np.exp(-0.3 * np.clip(sq_a[:, None] + sq_b[None, :] - 2.0 * (A @ B.T), 0.0, None))
     np.testing.assert_array_equal(rbf_kernel(A, B, gamma=0.3), want)
+
+
+def full_gram_ocsvm(X, nu):
+    """The SMO loop over the whole n x n Gram matrix: (alphas, rho, iterations)."""
+    n = X.shape[0]
+    gamma = rbf_gamma(X)
+    C = 1.0 / (nu * n)
+    Q = rbf_kernel(X, X, gamma)
+    alpha = np.zeros(n)
+    n_full = int(nu * n)
+    alpha[:n_full] = C
+    if n_full < n:
+        alpha[n_full] = 1.0 - n_full * C
+    grad = Q @ alpha
+    diag = np.diag(Q).copy()
+    it = 0
+    while True:
+        can_up, can_down = alpha < C - 1e-15, alpha > 1e-15
+        g_up = np.where(can_up, grad, np.inf)
+        i = int(np.argmin(g_up))
+        if np.max(np.where(can_down, grad, -np.inf)) - g_up[i] <= 1e-4:
+            break
+        diff = grad - grad[i]
+        eta = np.maximum(diag + diag[i] - 2.0 * Q[:, i], 1e-12)
+        j = int(np.argmax(np.where(can_down & (diff > 0.0), diff * diff / eta, -np.inf)))
+        step = min(diff[j] / eta[j], C - alpha[i], alpha[j])
+        alpha[i] += step
+        alpha[j] -= step
+        grad += step * (Q[:, i] - Q[:, j])
+        it += 1
+    free = (alpha > 1e-12 * C) & (alpha < C * (1.0 - 1e-12))
+    assert free.any()
+    return alpha, float(grad[free].mean()), it
+
+
+def test_ocsvm_fit_matches_full_gram_reference():
+    rng = np.random.default_rng(17)
+    for X in (rng.standard_normal((300, 4)), stalled_quarter_steps(rng, 300, 4)):
+        for nu in (0.1, 0.5):
+            alpha, rho, it = full_gram_ocsvm(X, nu)
+            model = ocsvm_fit(X, nu=nu)
+            keep = alpha > 1e-12 / (nu * 300)
+            np.testing.assert_array_equal(model.support_vectors, X[keep])
+            assert model.iterations == it
+            want = rbf_kernel(X, X[keep], rbf_gamma(X)) @ alpha[keep] - rho
+            np.testing.assert_allclose(model.decision(X), want, rtol=1e-9)
+
+
+def test_ocsvm_decision_blocks_match_whole_kernel():
+    # 3,000 rows against 300 support vectors span seven row blocks
+    rng = np.random.default_rng(5)
+    model = ocsvm_fit(rng.standard_normal((600, 4)), nu=0.5)
+    X = rng.standard_normal((3000, 4))
+    assert X.shape[0] * model.alphas.size * 8 > 4 * (1 << 20)
+    want = rbf_kernel(X, model.support_vectors, model.gamma) @ model.alphas - model.rho
+    np.testing.assert_allclose(model.decision(X), want, rtol=1e-12)
+
+
+def test_ocsvm_memory_bounded():
+    # 6,000 quantized rows at SMD width, fitted on a 4,096-row subsample: the
+    # full Gram matrix alone would be 128 MiB
+    start = time.perf_counter()
+    X = stalled_quarter_steps(np.random.default_rng(8), 6000, 38)
+    tracemalloc.start()
+    try:
+        ocsvm_scores(X, nu=0.1, rng=np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    elapsed = time.perf_counter() - start
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert elapsed < 10.0, f"runtime budget 10 s exceeded: {elapsed:.1f}s"
 
 
 def test_ocsvm_too_few_points():
