@@ -17,7 +17,10 @@ from pathlib import Path
 
 from .errors import PipelineStageError
 from .evaluation import ranks_from_f1, robustness
-from .pipeline import PipelineConfig, load_config, ranking_table, run_pipeline, run_stage
+from .pipeline import (
+    ENSEMBLES, OVERRIDES, SELECT_METHODS, PipelineConfig, load_config, ranking_table,
+    run_pipeline, run_stage,
+)
 from .rca import CausalGraph, localize
 from .seeding import derive_seed
 from .tables import Table, format_table
@@ -29,8 +32,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--seed", type=int, help="master seed")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--select", choices=("correlation", "pca", "none"))
-    p.add_argument("--ensemble", choices=("max", "avg", "weighted", "deep"))
+    p.add_argument("--select", choices=SELECT_METHODS)
+    p.add_argument("--ensemble", choices=ENSEMBLES)
     p.add_argument("--train-fraction", type=float, dest="train_fraction")
     p.add_argument("--shift", type=int)
     p.add_argument("--alpha", type=float)
@@ -39,14 +42,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> PipelineConfig:
-    overrides = {
-        k: getattr(args, k, None)
-        for k in (
-            "seed", "out", "select", "ensemble", "train_fraction",
-            "shift", "alpha", "walks", "labels",
-        )
-    }
-    return load_config(args.config, overrides)
+    return load_config(args.config, {k: v for k, v in vars(args).items() if k in OVERRIDES})
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -211,7 +211,7 @@ class DiagnosisReport:
 
     probabilities: np.ndarray
     threshold: float
-    verdicts: np.ndarray = field(default=None)  # derived when omitted
+    verdicts: np.ndarray = field(init=False)
     evaluation: Optional[EvaluationBlock] = None
 
     def __post_init__(self):
@@ -220,16 +220,8 @@ class DiagnosisReport:
             raise ShapeMismatch("probabilities must be 1-D")
         if ((probs < 0) | (probs > 1)).any():
             raise ValueError("probabilities must lie in [0, 1]")
-        if self.verdicts is None:
-            verdicts = (probs >= self.threshold).astype(np.int64)
-        else:
-            verdicts = np.asarray(self.verdicts, dtype=np.int64)
-            if verdicts.shape != probs.shape:
-                raise ShapeMismatch("verdicts must align with probabilities")
-            if not np.array_equal(verdicts, (probs >= self.threshold).astype(np.int64)):
-                raise ValueError("verdicts must equal probabilities >= threshold")
         object.__setattr__(self, "probabilities", _frozen(probs))
-        object.__setattr__(self, "verdicts", _frozen(verdicts))
+        object.__setattr__(self, "verdicts", _frozen((probs >= self.threshold).astype(np.int64)))
 
 
 def standardize(values: np.ndarray):

@@ -15,7 +15,7 @@ rows once; its minibatches are contiguous slices.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -54,17 +54,6 @@ class TrainConfig:
             raise InvalidConfig(f"train.batch must be >= 1, got {self.batch}")
         if not (np.isfinite(self.lr) and self.lr > 0.0):
             raise InvalidConfig(f"train.lr must be finite and > 0, got {self.lr}")
-
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs, "batch": self.batch, "lr": self.lr,
-            "beta1": self.beta1, "beta2": self.beta2, "eps": self.eps,
-            "hidden": self.hidden, "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -127,7 +116,7 @@ class MlpModel:
                 "W2": w2.tolist(), "b2": b2.tolist(),
                 "W3": w3.tolist(), "b3": b3.tolist(),
             },
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "shift": self.shift,
             "threshold": self.threshold,
             "norm": None if self.norm is None else {
@@ -158,7 +147,7 @@ class MlpModel:
             )
         return cls(
             params=params,
-            config=TrainConfig.from_dict(doc["config"]),
+            config=TrainConfig(**doc["config"]),
             shift=int(doc["shift"]),
             threshold=float(doc["threshold"]),
             norm=norm,

@@ -12,11 +12,10 @@ manifest file instead.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -53,12 +52,42 @@ from .tables import Table, format_table
 SELECT_METHODS = ("correlation", "pca", "none")
 ENSEMBLES = ("max", "avg", "weighted", "deep")
 DETECTOR_SETTINGS = {"n_trees", "subsample", "knn_k", "lof_k", "nu", "gamma"}
+# each data source and the other data keys it takes; SMD data must give its labels
+DATA_SOURCES = {"csv": {"labels"}, "smd_values": {"smd_labels"}, "generate": set()}
 REPORT_SCHEMA_VERSION = 1
 
 SCORES = (TIMESTAMP, ("score", float))
 VERDICTS = (TIMESTAMP, ("probability", float), ("verdict", int))
 SELECTION = (("metric", str), ("r", float), ("t", float), ("p", float), ("retained", int))
 RANKING = (("rank", int), ("node", str), ("count", int))
+
+# Where each scalar PipelineConfig field sits in the JSON config: (section,
+# key), with section None for the top level. The dataclass defaults are the
+# only defaults. "data" and the "detect" keys other than anomaly_fraction
+# (detector_overrides) are kept as given.
+SETTINGS = {
+    "out": (None, "out"),
+    "seed": (None, "seed"),
+    "select_method": ("select", "method"),
+    "r_min": ("select", "r_min"),
+    "p_max": ("select", "p_max"),
+    "pca_variance": ("select", "variance"),
+    "pca_components": ("select", "n_fixed"),
+    "anomaly_fraction": ("detect", "anomaly_fraction"),
+    "ensemble": (None, "ensemble"),
+    "train_fraction": (None, "train_fraction"),
+    "shift": (None, "shift"),
+    "epochs": ("train", "epochs"),
+    "batch": ("train", "batch"),
+    "lr": ("train", "lr"),
+    "alpha": ("rca", "alpha"),
+    "walks": ("rca", "walks"),
+    "walk_length": ("rca", "length"),
+}
+# load_config's override names, as the CLI flags give them: a setting's JSON
+# key, "select" for select.method and "labels" for data.labels
+OVERRIDES = {key: (section, key) for section, key in SETTINGS.values()}
+OVERRIDES.update(select=SETTINGS["select_method"], labels=("data", "labels"))
 
 
 @dataclass(frozen=True)
@@ -86,92 +115,67 @@ class PipelineConfig:
     walk_length: Optional[int] = None
 
     def __post_init__(self):
-        if self.select_method not in SELECT_METHODS:
-            raise InvalidConfig(f"select must be one of {SELECT_METHODS}")
-        if self.ensemble not in ENSEMBLES:
-            raise InvalidConfig(f"ensemble must be one of {ENSEMBLES}")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise InvalidConfig("train_fraction must lie in (0, 1)")
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidConfig("alpha must lie in (0, 1)")
-        if self.shift < 0:
-            raise InvalidConfig("shift must be >= 0")
-        if self.walks < 1:
-            raise InvalidConfig("walks must be >= 1")
-        counts = (("select.n_fixed", self.pca_components), ("rca.length", self.walk_length))
-        for where, value in counts:
-            if value is not None and not (type(value) is int and value >= 1):
-                raise InvalidConfig(f"{where} must be an integer >= 1, got {value!r}")
+        # each setting's type follows its default: an int takes an int, a
+        # float an int or a float (stored as a float), a str a str, and None
+        # None or an integer >= 1; a bool is never a number
+        for name, (section, key) in SETTINGS.items():
+            value, default = getattr(self, name), self.__dataclass_fields__[name].default
+            types = {float: (int, float), type(None): int}.get(type(default), type(default))
+            ok = isinstance(value, types) and not isinstance(value, bool)
+            if default is None:
+                ok = value is None or ok and value >= 1
+            if not ok:
+                rule = "an integer >= 1" if default is None else type(default).__name__
+                where = f"{section}.{key}" if section else key
+                raise InvalidConfig(f"{where} must be {rule}, got {value!r}")
+            if isinstance(default, float):
+                object.__setattr__(self, name, float(value))
+        for ok, rule in (
+            (self.select_method in SELECT_METHODS, f"select.method must be one of {SELECT_METHODS}"),
+            (self.ensemble in ENSEMBLES, f"ensemble must be one of {ENSEMBLES}"),
+            (0.0 < self.train_fraction < 1.0, "train_fraction must lie in (0, 1)"),
+            (0.0 < self.alpha < 1.0, "rca.alpha must lie in (0, 1)"),
+            (self.shift >= 0, "shift must be >= 0"),
+            (self.walks >= 1, "rca.walks must be >= 1"),
+            (-(2**63) <= self.seed < 2**64, "seed must fit in 64 bits"),
+        ):
+            if not ok:
+                raise InvalidConfig(rule)
         _check_keys(self.detector_overrides, "detect", DETECTOR_SETTINGS)
         # the checks the detect and train stages make, at config load
-        DetectorSpec(KINDS[0], self.anomaly_fraction, **self.detector_overrides)
-        TrainConfig(epochs=self.epochs, batch=self.batch, lr=self.lr)
-        if not -(2**63) <= self.seed < 2**64:
-            raise InvalidConfig("seed must fit in 64 bits")
-        if not isinstance(self.data, dict) or not (
-            "csv" in self.data or "smd_values" in self.data or "generate" in self.data
-        ):
-            raise InvalidConfig(
-                "data must give one of: csv, smd_values, generate"
-            )
+        self.detector_spec(KINDS[0])
+        self.train_config()
+        _check_data(self.data)
+
+    def detector_spec(self, kind: str) -> DetectorSpec:
+        seed = derive_seed(self.seed, "detectors")
+        return DetectorSpec(kind, self.anomaly_fraction, seed, **self.detector_overrides)
+
+    def train_config(self) -> TrainConfig:
+        seed = derive_seed(self.seed, "mlp")
+        return TrainConfig(epochs=self.epochs, batch=self.batch, lr=self.lr, seed=seed)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
-        _check_keys(doc, "config", {
-            "data", "out", "seed", "select", "detect", "ensemble",
-            "train_fraction", "shift", "rca", "train",
-        })
-        sel = doc.get("select", {})
-        det = doc.get("detect", {})
-        rca = doc.get("rca", {})
-        train = doc.get("train", {})
-        _check_keys(sel, "select", {"method", "r_min", "p_max", "variance", "n_fixed"})
-        _check_keys(det, "detect", DETECTOR_SETTINGS | {"anomaly_fraction"})
-        _check_keys(rca, "rca", {"alpha", "walks", "length"})
-        _check_keys(train, "train", {"epochs", "batch", "lr"})
+        keys = {None: {"data"}, "detect": set(DETECTOR_SETTINGS)}
+        for section, key in SETTINGS.values():
+            keys.setdefault(section, set()).add(key)
+        _check_keys(doc, "config", keys[None] | set(keys) - {None})
+        parts = {section: doc.get(section, {}) for section in keys if section}
+        for section, part in parts.items():
+            _check_keys(part, section, keys[section])
+        parts[None] = doc
         return cls(
-            data=doc.get("data", {}),
-            out=doc.get("out", "out"),
-            seed=int(doc.get("seed", 0)),
-            select_method=sel.get("method", "correlation"),
-            r_min=float(sel.get("r_min", 0.5)),
-            p_max=float(sel.get("p_max", 0.05)),
-            pca_variance=float(sel.get("variance", 0.95)),
-            pca_components=sel.get("n_fixed"),
-            anomaly_fraction=float(det.get("anomaly_fraction", 0.1)),
-            detector_overrides={
-                k: v for k, v in det.items() if k != "anomaly_fraction"
-            },
-            ensemble=doc.get("ensemble", "deep"),
-            train_fraction=float(doc.get("train_fraction", 0.5)),
-            shift=int(doc.get("shift", 0)),
-            epochs=int(train.get("epochs", 100)),
-            batch=int(train.get("batch", 20)),
-            lr=float(train.get("lr", 1e-3)),
-            alpha=float(rca.get("alpha", 0.05)),
-            walks=int(rca.get("walks", 500)),
-            walk_length=rca.get("length"),
+            data=doc.get("data"),
+            detector_overrides={k: v for k, v in parts["detect"].items() if k in DETECTOR_SETTINGS},
+            **{name: parts[s][k] for name, (s, k) in SETTINGS.items() if k in parts[s]},
         )
 
     def to_dict(self) -> dict:
-        return {
-            "data": self.data,
-            "out": self.out,
-            "seed": self.seed,
-            "select": {
-                "method": self.select_method,
-                "r_min": self.r_min,
-                "p_max": self.p_max,
-                "variance": self.pca_variance,
-                "n_fixed": self.pca_components,
-            },
-            "detect": {"anomaly_fraction": self.anomaly_fraction, **self.detector_overrides},
-            "ensemble": self.ensemble,
-            "train_fraction": self.train_fraction,
-            "shift": self.shift,
-            "train": {"epochs": self.epochs, "batch": self.batch, "lr": self.lr},
-            "rca": {"alpha": self.alpha, "walks": self.walks, "length": self.walk_length},
-        }
+        doc = {"data": self.data, "detect": dict(self.detector_overrides)}
+        for name, (section, key) in SETTINGS.items():
+            (doc.setdefault(section, {}) if section else doc)[key] = getattr(self, name)
+        return doc
 
     def config_hash(self) -> str:
         # the output directory is not part of the experiment identity
@@ -187,33 +191,35 @@ def _check_keys(section, where: str, known: set) -> None:
         raise InvalidConfig(f"unknown {where} keys: {sorted(unknown)}")
 
 
+def _check_data(data) -> None:
+    """One data source, only the keys it takes, and every path a string."""
+    sources = [s for s in DATA_SOURCES if s in data] if isinstance(data, dict) else []
+    if len(sources) != 1:
+        raise InvalidConfig(f"data must be a JSON object with exactly one of {list(DATA_SOURCES)}")
+    extra = sorted(set(data) - {sources[0]} - DATA_SOURCES[sources[0]])
+    if extra:
+        raise InvalidConfig(f"data.{sources[0]} does not take data.{extra[0]}")
+    if "smd_values" in data and "smd_labels" not in data:
+        raise InvalidConfig("data.smd_values requires data.smd_labels")
+    for key, path in data.items():
+        if key != "generate" and not isinstance(path, str):
+            raise InvalidConfig(f"data.{key} must be a path string, got {path!r}")
+    if "generate" in data:
+        _check_keys(data["generate"], "data.generate", {f.name for f in fields(GenConfig)})
+        try:
+            GenConfig(**data["generate"])
+        except (TypeError, InvalidConfig) as exc:
+            raise InvalidConfig(f"data.generate: {exc}") from exc
+
+
 def load_config(path, overrides: Optional[dict] = None) -> PipelineConfig:
+    """The JSON config at ``path`` (or none) with ``overrides`` named as in `OVERRIDES`."""
     doc = json.loads(Path(path).read_text()) if path else {}
-    doc = _apply_overrides(doc, overrides or {})
+    for name, value in (overrides or {}).items():
+        if value is not None:
+            section, key = OVERRIDES[name]
+            (doc.setdefault(section, {}) if section else doc)[key] = value
     return PipelineConfig.from_dict(doc)
-
-
-def _apply_overrides(doc: dict, ov: dict) -> dict:
-    doc = copy.deepcopy(doc)
-    if ov.get("seed") is not None:
-        doc["seed"] = ov["seed"]
-    if ov.get("out") is not None:
-        doc["out"] = ov["out"]
-    if ov.get("select") is not None:
-        doc.setdefault("select", {})["method"] = ov["select"]
-    if ov.get("ensemble") is not None:
-        doc["ensemble"] = ov["ensemble"]
-    if ov.get("train_fraction") is not None:
-        doc["train_fraction"] = ov["train_fraction"]
-    if ov.get("shift") is not None:
-        doc["shift"] = ov["shift"]
-    if ov.get("alpha") is not None:
-        doc.setdefault("rca", {})["alpha"] = ov["alpha"]
-    if ov.get("walks") is not None:
-        doc.setdefault("rca", {})["walks"] = ov["walks"]
-    if ov.get("labels") is not None:
-        doc.setdefault("data", {})["labels"] = ov["labels"]
-    return doc
 
 
 class _Run:
@@ -352,9 +358,8 @@ def _ingest(run: _Run) -> None:
     data = run.config.data
     if "generate" in data:
         gen = GenConfig(**data["generate"])
-        frame, labels, truth = generate(gen, derive_seed(run.config.seed, "gen"))
-        run.frame, run.labels, run.truth = frame, labels, truth
-        run.write("ground_truth.json", truth.to_dict())
+        run.frame, run.labels, run.truth = generate(gen, derive_seed(run.config.seed, "gen"))
+        run.write("ground_truth.json", run.truth.to_dict())
     elif "smd_values" in data:
         run.frame, run.labels = load_smd(data["smd_values"], data["smd_labels"])
     else:
@@ -401,20 +406,10 @@ def _select(run: _Run) -> None:
     run.write("selected.json", selected.to_dict())
 
 
-def _detector_spec(run: _Run, kind: str) -> DetectorSpec:
-    cfg = run.config
-    return DetectorSpec(
-        kind=kind,
-        anomaly_fraction=cfg.anomaly_fraction,
-        seed=derive_seed(cfg.seed, "detectors"),
-        **cfg.detector_overrides,
-    )
-
-
 def _detect(run: _Run) -> None:
     vectors = []
     for kind in KINDS:
-        vec = fit_score(_detector_spec(run, kind), run.selected)
+        vec = fit_score(run.config.detector_spec(kind), run.selected)
         run.write(
             f"scores_{kind}.csv", format_table(SCORES, [run.selected.timestamps, vec.values])
         )
@@ -464,14 +459,9 @@ def _train(run: _Run, halves) -> None:
     """Train half of the deep ensemble: fit the MLP on the train side."""
     cfg = run.config
     (train_X, train_y), _ = halves
-    tc = TrainConfig(
-        epochs=cfg.epochs,
-        batch=cfg.batch,
-        lr=cfg.lr,
-        seed=derive_seed(cfg.seed, "mlp"),
-    )
     run.model = train_deep(
-        train_X, train_y, tc, shift=cfg.shift, norm=NormStats.from_matrix(run.matrix)
+        train_X, train_y, cfg.train_config(), shift=cfg.shift,
+        norm=NormStats.from_matrix(run.matrix),
     )
     run.write("model.json", run.model.to_dict())
 

@@ -118,15 +118,6 @@ def test_report_derives_verdicts_from_threshold():
     assert list(rep.verdicts) == [0, 1, 1]  # >= threshold
 
 
-def test_report_rejects_inconsistent_verdicts():
-    with pytest.raises(ValueError):
-        DiagnosisReport(
-            probabilities=np.array([0.2, 0.9]),
-            threshold=0.5,
-            verdicts=np.array([1, 1]),
-        )
-
-
 def test_dumps_json_sorted_and_stable():
     a = dumps_json({"b": 1, "a": [1.5, 2]})
     b = dumps_json({"a": [1.5, 2], "b": 1})

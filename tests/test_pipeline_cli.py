@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import perfdiag
-from perfdiag.cli import main
+from perfdiag.cli import _config_from_args, build_parser, main
 from perfdiag.detectors import ScoreVector
 from perfdiag.errors import ConstantColumnWarning, InvalidConfig, PipelineStageError
 from perfdiag.pipeline import (
@@ -81,16 +81,47 @@ def test_config_rejects_bad_train_values(tmp_path, train):
      ("select", {"n_fixed": "2"}, "select.n_fixed"),
      ("detect", {"knn_k": 0}, "knn_k"),
      ("detect", {"knn_k": "5"}, "knn_k"),
-     ("detect", {"n_trees": 2.5}, "n_trees")],
+     ("detect", {"n_trees": 2.5}, "n_trees"),
+     # an int setting takes an int, not a float or a bool; a float setting
+     # takes a number, not a string; a str setting takes a string
+     ("train", {"epochs": 2.5}, "train.epochs"),
+     ("train", {"epochs": True}, "train.epochs"),
+     (None, {"shift": 2.7}, "shift"),
+     (None, {"seed": 1.9}, "seed"),
+     ("rca", {"walks": "5"}, "rca.walks"),
+     ("select", {"r_min": "0.5"}, "select.r_min"),
+     (None, {"out": 5}, "out")],
 )
 def test_config_rejects_bad_values_at_load(tmp_path, section, values, where):
     # checked before any stage runs, so nothing is written to the out dir
     out = tmp_path / "out"
-    doc = {"data": {"generate": GEN}, "out": str(out), section: values}
+    doc = {"data": {"generate": GEN}, "out": str(out)}
+    doc.update({section: values} if section else values)
     path = write_config(tmp_path, doc)
     with pytest.raises(InvalidConfig, match=where):
         load_config(path)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "data, where",
+    [({}, "exactly one of"),
+     ({"csv": "a.csv", "smd_values": "v.txt", "smd_labels": "l.txt"}, "exactly one of"),
+     # a labels file goes with CSV data only
+     ({"generate": GEN, "labels": "l.csv"}, "data.labels"),
+     ({"smd_values": "v.txt", "smd_labels": "l.txt", "labels": "l.csv"}, "data.labels"),
+     ({"csv": "a.csv", "smd_labels": "l.txt"}, "data.smd_labels"),
+     ({"smd_values": "v.txt"}, "data.smd_labels"),
+     # a number is not a path: 0 would have read the CSV from stdin
+     ({"csv": 0}, "data.csv"),
+     ({"csv": "a.csv", "labels": 3}, "data.labels"),
+     ({"generate": {**GEN, "n_metric": 6}}, "n_metric"),
+     ({"generate": {"n_samples": 400}}, "n_metrics"),
+     ({"generate": {**GEN, "n_metrics": 0}}, "metric")],
+)
+def test_config_checks_the_data_section_at_load(data, where):
+    with pytest.raises(InvalidConfig, match=where):
+        PipelineConfig.from_dict({"data": data})
 
 
 def test_config_rejects_unknown_detector_setting():
@@ -131,6 +162,48 @@ def test_load_config_applies_flag_overrides(tmp_path):
     assert cfg.ensemble == "max"
     assert cfg.select_method == "pca"
     assert cfg.walks == 42
+
+
+def test_config_hash_is_stable():
+    # digests recorded before the config table replaced the hand-written
+    # from_dict/to_dict pair: the benchmark workloads' settings, and a config
+    # whose integer-valued floats hash as floats (r_min 1 as 1.0)
+    smd = {"smd_values": "values.txt", "smd_labels": "labels.txt"}
+    csv_data = {"csv": "metrics.csv", "labels": "labels.csv"}
+    cases = [
+        ({"data": smd, "seed": 7, "select": {"method": "none"}, "ensemble": "max",
+          "detect": {"anomaly_fraction": 0.1}, "rca": {"alpha": 0.001}},
+         "c0ea5d9df9c5d14fd7ca1bd6f2e12f8fec14f98bb4590284681b318c0ee0e9d3"),
+        ({"data": csv_data, "seed": 7, "select": {"method": "none"}, "ensemble": "avg",
+          "detect": {"anomaly_fraction": 0.4}, "rca": {"alpha": 0.01}},
+         "38235bd79edd105250be86c3688f78de7dffc13e1e7ef5c8702d96f0cabe82ac"),
+        ({"data": csv_data, "seed": 7,
+          "select": {"method": "correlation", "r_min": 0.5, "p_max": 0.05},
+          "detect": {"anomaly_fraction": 0.1}, "ensemble": "deep",
+          "train_fraction": 0.8, "shift": 4, "rca": {"length": 2}},
+         "62eff46c24f3f11018427972cc5bdd6ccfae343a55f37a4c4235ce6751abd873"),
+        ({"data": {"generate": {"n_metrics": 6, "n_samples": 400}}, "seed": 3,
+          "select": {"r_min": 1}, "train": {"lr": 1, "epochs": 5},
+          "detect": {"anomaly_fraction": 0.2, "knn_k": 7, "n_trees": 50, "nu": 0.1, "gamma": 1}},
+         "02df89608771ee7c38791a181c614d9cbff36e0c8db0b340d0285e58f3639045"),
+    ]
+    for doc, digest in cases:
+        assert PipelineConfig.from_dict(doc).config_hash() == digest
+
+
+def test_every_common_flag_lands_in_the_config(tmp_path):
+    path = write_config(tmp_path, {"data": {"csv": "a.csv"}})
+    args = build_parser().parse_args([
+        "run", "--config", str(path), "--seed", "9", "--out", "o", "--select", "pca",
+        "--ensemble", "avg", "--train-fraction", "0.7", "--shift", "2", "--alpha", "0.2",
+        "--walks", "40", "--labels", "l.csv",
+    ])
+    doc = _config_from_args(args).to_dict()
+    assert doc["data"] == {"csv": "a.csv", "labels": "l.csv"}
+    assert (doc["seed"], doc["out"], doc["ensemble"]) == (9, "o", "avg")
+    assert (doc["train_fraction"], doc["shift"]) == (0.7, 2)
+    assert doc["select"]["method"] == "pca"
+    assert (doc["rca"]["alpha"], doc["rca"]["walks"]) == (0.2, 40)
 
 
 # --- window helpers -------------------------------------------------------
@@ -441,6 +514,20 @@ def test_cli_failure_emits_json_error_record(tmp_path, capsys):
     assert record["error"]["stage"] == "ingest"
     assert record["error"]["type"]
     assert record["error"]["message"]
+
+
+def test_cli_rejects_a_mistyped_setting(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"data": {"generate": GEN}, "train": {"epochs": "abc"}})
+    err = stage_error(["run", "--config", str(cfg), "--out", str(tmp_path / "o")], capsys)
+    assert err["type"] == "InvalidConfig" and "train.epochs" in err["message"]
+
+
+def test_cli_rejects_labels_on_generated_data(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"data": {"generate": GEN}})
+    argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--labels", "l.csv"]
+    err = stage_error(argv, capsys)
+    assert err["type"] == "InvalidConfig" and "data.labels" in err["message"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):
