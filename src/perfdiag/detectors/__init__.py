@@ -19,7 +19,7 @@ from ..core import SelectedFrame
 from ..errors import InvalidConfig, NumericalFailure, TooFewSamples
 from ..seeding import derived_rng
 from .iforest import iforest_scores
-from .neighbors import knn_scores, lof_scores
+from .neighbors import NeighborPass, knn_scores, lof_scores
 from .ocsvm import ocsvm_scores
 
 KINDS = ("iforest", "knn", "lof", "ocsvm")
@@ -48,8 +48,15 @@ class DetectorSpec:
             value = getattr(self, name)
             if not (type(value) is int and value >= 1):
                 raise InvalidConfig(f"{name} must be an integer >= 1, got {value!r}")
-        if self.nu is not None and not 0.0 < self.nu < 1.0:
-            raise InvalidConfig("nu must lie in (0, 1)")
+        # an int is a real number, a bool is not
+        for name, rule, holds in (
+            ("nu", "a real number in (0, 1)", lambda v: 0.0 < v < 1.0),
+            ("gamma", "a finite real number > 0", lambda v: 0.0 < v < math.inf),
+        ):
+            value = getattr(self, name)
+            real = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if value is not None and not (real and holds(value)):
+                raise InvalidConfig(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,8 +78,14 @@ class ScoreVector:
         object.__setattr__(self, "values", vals)
 
 
-def fit_score(spec: DetectorSpec, data: SelectedFrame) -> ScoreVector:
-    """Fit one base learner on the full series and score every timestamp."""
+def fit_score(
+    spec: DetectorSpec, data: SelectedFrame, neighbors: Optional[NeighborPass] = None
+) -> ScoreVector:
+    """Fit one base learner on the full series and score every timestamp.
+
+    ``neighbors``, a `NeighborPass` of ``data.values``, is read by the
+    distance learners instead of running a pass of their own.
+    """
     X = data.values
     d = X.shape[0]
     if spec.kind == "iforest":
@@ -81,9 +94,9 @@ def fit_score(spec: DetectorSpec, data: SelectedFrame) -> ScoreVector:
         rng = derived_rng(spec.seed, "iforest")
         scores = iforest_scores(X, rng, n_trees=spec.n_trees, subsample=spec.subsample)
     elif spec.kind == "knn":
-        scores = knn_scores(X, spec.knn_k)
+        scores = knn_scores(X, spec.knn_k, neighbors)
     elif spec.kind == "lof":
-        scores = lof_scores(X, spec.lof_k)
+        scores = lof_scores(X, spec.lof_k, neighbors)
     else:
         rng = derived_rng(spec.seed, "ocsvm")
         nu = spec.anomaly_fraction if spec.nu is None else spec.nu

@@ -1,22 +1,30 @@
 """Distance-based detectors: k-th-neighbor distance (KNN) and LOF.
 
-Each runs its own pass of ``_neighbors`` at its own k. It screens pairs
-with the Gram identity ||c_i - c_j||^2 = s_i + s_j - 2 c_i.c_j on
-column-centred rows, then re-ranks only the candidates with the exact
-(x - y)^2 expansion on the original rows. The screen keeps every pair
-within a float64 rounding bound of each row's k-th smallest Gram value
-(derived in ``_neighbors``), so it can add candidates but never lose a
-neighbour: every returned distance is the exact expansion, scores match a
-brute-force oracle, and they do not depend on how BLAS orders its sums.
+A run makes one pass of ``_neighbors`` (a `NeighborPass`) at the larger
+of the two learners' k, and each learner reads its own k from it. The
+pass screens pairs with the Gram identity
+||c_i - c_j||^2 = s_i + s_j - 2 c_i.c_j on column-centred rows, then
+re-ranks only the candidates with the exact (x - y)^2 expansion on the
+original rows. The screen keeps every pair within a float64 rounding
+bound of each row's k-th smallest Gram value (derived in ``_neighbors``),
+so it can add candidates but never lose a neighbour: every returned
+distance is the exact expansion, scores match a brute-force oracle, and
+they do not depend on how BLAS orders its sums.
 
 Memory is bounded by a fixed byte budget: the Gram matrix is built one
 block of rows at a time, each block at most ``_BLOCK_BYTES``, and the exact
 re-rank runs over candidate pairs in slices of the same size. A pass holds
 at most two blocks at once, a Gram block and its partitioned copy. Only the
 tie-inclusive neighbour lists grow with the input.
+
+LOF's means run over groups of rows of equal neighbourhood size, one
+block of rows at a time, not row by row, and round exactly as a per-row
+``.mean()`` would (see `_row_means`).
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -36,13 +44,16 @@ def _pair_distances(X: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.nda
     return out
 
 
-def _neighbors(X: np.ndarray, k: int):
-    """Exact k-distance and tie-inclusive neighbourhoods of every row.
+def _neighbors(X: np.ndarray, ks):
+    """Exact k-distances and tie-inclusive neighbourhoods of every row.
 
-    Returns (kdist, indptr, indices, dist). Row p's neighbourhood is
-    indices[indptr[p]:indptr[p + 1]]: every other row within kdist[p] of p,
-    in ascending index order, with its distance from p in dist.
+    The pass runs at k = max(ks). Returns (kdists, indptr, indices, dist):
+    kdists[j] holds every row's exact j-distance, for each j in ks. Row p's
+    neighbourhood is indices[indptr[p]:indptr[p + 1]]: every other row
+    within kdists[k][p] of p, in ascending index order, with its distance
+    from p in dist.
     """
+    k = max(ks)
     d, f = X.shape
     C = X - X.mean(axis=0)
     s = np.einsum("ij,ij->i", C, C)
@@ -61,7 +72,7 @@ def _neighbors(X: np.ndarray, k: int):
     # more than three times over, whatever order BLAS sums in.
     margin = 16.0 * (f + 4) * np.finfo(np.float64).eps * (s + s.max())
     block = max(1, _BLOCK_BYTES // (8 * d))
-    kdist = np.empty(d, dtype=np.float64)
+    kdists = {j: np.empty(d, dtype=np.float64) for j in ks}
     sizes = np.empty(d, dtype=np.int64)
     indices: list[np.ndarray] = []
     dists: list[np.ndarray] = []
@@ -81,24 +92,97 @@ def _neighbors(X: np.ndarray, k: int):
         dist = _pair_distances(X, rows + start, cols)
         counts = np.bincount(rows, minlength=local.size)
         ranked = dist[np.lexsort((dist, rows))]
-        kdist[start:stop] = ranked[np.cumsum(counts) - counts + k - 1]
-        keep = dist <= kdist[rows + start]
+        # the candidates hold every row within the k-distance, so their j-th
+        # smallest distance is the exact j-distance for every j <= k
+        for j, kdist in kdists.items():
+            kdist[start:stop] = ranked[np.cumsum(counts) - counts + j - 1]
+        keep = dist <= kdists[k][rows + start]
         sizes[start:stop] = np.bincount(rows[keep], minlength=local.size)
         indices.append(cols[keep])
         dists.append(dist[keep])
     indptr = np.concatenate(([0], np.cumsum(sizes)))
-    return kdist, indptr, np.concatenate(indices), np.concatenate(dists)
+    return kdists, indptr, np.concatenate(indices), np.concatenate(dists)
 
 
-def knn_scores(X: np.ndarray, k: int) -> np.ndarray:
-    """Euclidean distance to the k-th nearest neighbor, self excluded."""
+class NeighborPass:
+    """One `_neighbors` pass of X, shared by learners that each read one k of ``ks``.
+
+    The pass runs on the first read, so its time counts under the learner
+    that makes it, at the largest k in ``ks`` that X has room for (k < rows).
+    Its tie-inclusive lists hold every row within that k-distance, so a
+    smaller k's neighbourhoods are the entries within its own k-distance,
+    in the same order: every read equals a pass at its k bit for bit. The
+    lists are dropped once each k of ``ks`` that X has room for has been
+    read, so they do not stay allocated under the learners that run after.
+    """
+
+    def __init__(self, X: np.ndarray, ks):
+        self.X = X
+        self.ks = tuple(k for k in ks if k < X.shape[0])
+        self._unread = list(self.ks)
+        self._lists = None
+
+    def _read(self, k: int):
+        if k not in self.ks:
+            raise ValueError(f"this pass serves k in {self.ks}, not k={k}")
+        lists = _neighbors(self.X, self.ks) if self._lists is None else self._lists
+        if k in self._unread:
+            self._unread.remove(k)
+        self._lists = lists if self._unread else None
+        return lists
+
+    def kdist(self, k: int) -> np.ndarray:
+        """Exact distance from every row to its k-th nearest other row."""
+        return self._read(k)[0][k]
+
+    def lists(self, k: int):
+        """(kdist, indptr, indices, dist) at k, laid out as `_neighbors` lays them out."""
+        kdists, indptr, indices, dist = self._read(k)
+        kdist = kdists[k]
+        if k == max(self.ks):
+            return kdist, indptr, indices, dist
+        rows = np.repeat(np.arange(kdist.size), np.diff(indptr))
+        keep = dist <= kdist[rows]
+        sizes = np.bincount(rows[keep], minlength=kdist.size)
+        return kdist, np.concatenate(([0], np.cumsum(sizes))), indices[keep], dist[keep]
+
+
+def _row_means(indptr: np.ndarray, values_at) -> np.ndarray:
+    """Mean of ``values_at(entries)`` over each row's entries indptr[p]:indptr[p + 1].
+
+    Rows of equal size are gathered into (rows x size) blocks of at most
+    ``_BLOCK_BYTES``. A C-contiguous block's ``.sum(axis=1)`` runs numpy's
+    pairwise summation along each row, as ``.mean()`` does on the row's
+    slice, and dividing by the size finishes that mean: each row's mean
+    rounds exactly as its slice's ``.mean()``.
+    """
+    sizes = np.diff(indptr)
+    order = np.argsort(sizes, kind="stable")
+    out = np.empty(sizes.size, dtype=np.float64)
+    for group in np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1):
+        size = int(sizes[group[0]])
+        step = max(1, _BLOCK_BYTES // (8 * size))
+        for lo in range(0, group.size, step):
+            rows = group[lo:lo + step]
+            out[rows] = values_at(indptr[rows, None] + np.arange(size)).sum(axis=1) / size
+    return out
+
+
+def knn_scores(X: np.ndarray, k: int, neighbors: Optional[NeighborPass] = None) -> np.ndarray:
+    """Euclidean distance to the k-th nearest neighbor, self excluded.
+
+    ``neighbors`` is a pass of X shared with other learners; without one,
+    the learner runs its own at k.
+    """
     d = X.shape[0]
     if d < k + 1:
         raise TooFewSamples(f"knn with k={k} needs at least {k + 1} points, got {d}")
-    return _neighbors(X, k)[0]
+    if neighbors is None:
+        neighbors = NeighborPass(X, (k,))
+    return neighbors.kdist(k)
 
 
-def lof_scores(X: np.ndarray, k: int) -> np.ndarray:
+def lof_scores(X: np.ndarray, k: int, neighbors: Optional[NeighborPass] = None) -> np.ndarray:
     """Local outlier factor with ties-inclusive k-neighborhoods.
 
     kdist(p) is the k-th smallest distance from p to other points; the
@@ -108,27 +192,21 @@ def lof_scores(X: np.ndarray, k: int) -> np.ndarray:
     mean is zero); LOF(p) = mean of neighbor lrd over lrd(p), with the
     all-duplicates case inf/inf taken as 1. A point next to a pile of more
     than k duplicates would score inf/finite; it takes the largest finite
-    LOF of the series instead.
+    LOF of the series instead. ``neighbors`` is as in `knn_scores`.
     """
     d = X.shape[0]
     if d < k + 1:
         raise TooFewSamples(f"lof with k={k} needs at least {k + 1} points, got {d}")
-    kdist, indptr, nbrs, dist = _neighbors(X, k)
-    reach = np.maximum(kdist[nbrs], dist)
-
-    lrd = np.empty(d, dtype=np.float64)
-    for p in range(d):
-        mean_reach = reach[indptr[p]:indptr[p + 1]].mean()
-        lrd[p] = np.inf if mean_reach == 0.0 else 1.0 / mean_reach
-
-    out = np.empty(d, dtype=np.float64)
-    for p in range(d):
-        if np.isinf(lrd[p]):
-            # zero mean reach forces every neighbor into the same duplicate
-            # pile, so their lrd is infinite as well: inf/inf := 1
-            out[p] = 1.0
-        else:
-            out[p] = lrd[nbrs[indptr[p]:indptr[p + 1]]].mean() / lrd[p]
+    if neighbors is None:
+        neighbors = NeighborPass(X, (k,))
+    kdist, indptr, nbrs, dist = neighbors.lists(k)
+    mean_reach = _row_means(indptr, lambda e: np.maximum(kdist[nbrs[e]], dist[e]))
+    lrd = np.full(d, np.inf)
+    np.divide(1.0, mean_reach, out=lrd, where=mean_reach != 0.0)
+    # zero mean reach forces every neighbor into the same duplicate pile, so
+    # their lrd is infinite as well: inf/inf := 1
+    out = np.ones(d)
+    np.divide(_row_means(indptr, lambda e: lrd[nbrs[e]]), lrd, out=out, where=np.isfinite(lrd))
     pile_edge = np.isinf(out)
     if pile_edge.any():
         out[pile_edge] = out[~pile_edge].max()

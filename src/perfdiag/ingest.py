@@ -8,7 +8,7 @@ be measured against exact ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -146,6 +146,10 @@ class GenConfig:
     root_causes: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
+        for f in fields(self):  # annotations are strings here: postponed evaluation
+            value = getattr(self, f.name)
+            if f.type == "int" and type(value) is not int:
+                raise InvalidConfig(f"{f.name} must be an integer, got {value!r}")
         if self.n_metrics < 1 or self.n_samples < 1:
             raise InvalidConfig("need at least one metric and one sample")
         if not 0.0 <= self.edge_prob <= 1.0:

@@ -31,7 +31,7 @@ from .core import (
     align,
     dumps_json,
 )
-from .detectors import KINDS, DetectorSpec, ScoreVector, fit_score, threshold
+from .detectors import KINDS, DetectorSpec, NeighborPass, ScoreVector, fit_score, threshold
 from .ensemble import (
     assemble,
     ensemble_avg,
@@ -183,9 +183,13 @@ class PipelineConfig:
         return hashlib.sha256(dumps_json(doc).encode()).hexdigest()
 
 
-def _check_keys(section, where: str, known: set) -> None:
+def _check_object(section, where: str) -> None:
     if not isinstance(section, dict):
         raise InvalidConfig(f"{where} must be a JSON object")
+
+
+def _check_keys(section, where: str, known: set) -> None:
+    _check_object(section, where)
     unknown = set(section) - known
     if unknown:
         raise InvalidConfig(f"unknown {where} keys: {sorted(unknown)}")
@@ -215,10 +219,13 @@ def _check_data(data) -> None:
 def load_config(path, overrides: Optional[dict] = None) -> PipelineConfig:
     """The JSON config at ``path`` (or none) with ``overrides`` named as in `OVERRIDES`."""
     doc = json.loads(Path(path).read_text()) if path else {}
+    _check_object(doc, "config")
     for name, value in (overrides or {}).items():
         if value is not None:
             section, key = OVERRIDES[name]
-            (doc.setdefault(section, {}) if section else doc)[key] = value
+            part = doc.setdefault(section, {}) if section else doc
+            _check_object(part, section)
+            part[key] = value
     return PipelineConfig.from_dict(doc)
 
 
@@ -407,11 +414,14 @@ def _select(run: _Run) -> None:
 
 
 def _detect(run: _Run) -> None:
+    specs = [run.config.detector_spec(kind) for kind in KINDS]
+    # knn and lof read one neighbour pass, made by the first of them to run
+    neighbors = NeighborPass(run.selected.values, (specs[0].knn_k, specs[0].lof_k))
     vectors = []
-    for kind in KINDS:
-        vec = fit_score(run.config.detector_spec(kind), run.selected)
+    for spec in specs:
+        vec = fit_score(spec, run.selected, neighbors)
         run.write(
-            f"scores_{kind}.csv", format_table(SCORES, [run.selected.timestamps, vec.values])
+            f"scores_{spec.kind}.csv", format_table(SCORES, [run.selected.timestamps, vec.values])
         )
         vectors.append(vec)
     run.matrix = assemble(vectors)

@@ -3,6 +3,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from perfdiag.core import SelectedFrame
 from perfdiag.detectors import DetectorSpec, ScoreVector, fit_score, threshold
 from perfdiag.detectors.iforest import avg_path_length, iforest_scores
-from perfdiag.detectors.neighbors import knn_scores, lof_scores
+from perfdiag.detectors.neighbors import NeighborPass, knn_scores, lof_scores
 from perfdiag.detectors.ocsvm import ocsvm_fit, ocsvm_scores, rbf_gamma, rbf_kernel
 from perfdiag.errors import InvalidConfig, NumericalFailure, TooFewSamples
 
@@ -258,6 +259,77 @@ def test_neighbor_pass_exact_on_hostile_inputs():
             finite = np.isfinite(want)
             np.testing.assert_allclose(lof[finite], want[finite], rtol=1e-9, atol=0.0)
     assert tied >= 12  # most cases really cut through a distance tie
+
+
+def hostile_inputs():
+    """The inputs of test_neighbor_pass_exact_on_hostile_inputs."""
+    rng = np.random.default_rng(21)
+    for trial in range(6):
+        X = np.round(rng.standard_normal((120, 3 + 5 * trial)) * 4.0) / 4.0
+        X[:, 1] = 7.0
+        X[40:43] = X[10]
+        X[90:96] = X[60]
+        yield X + 1e6
+
+
+@pytest.mark.parametrize("knn_k, lof_k", [(5, 20), (20, 5), (3, 3), (1, 8)])
+def test_shared_pass_equals_a_pass_per_k(knn_k, lof_k):
+    # the pass runs at the larger k and serves the smaller one from the same candidates
+    for X in hostile_inputs():
+        shared = NeighborPass(X, (knn_k, lof_k))
+        np.testing.assert_array_equal(knn_scores(X, knn_k, shared), knn_scores(X, knn_k))
+        np.testing.assert_array_equal(lof_scores(X, lof_k, shared), lof_scores(X, lof_k))
+        assert shared._lists is None  # dropped once both learners have read them
+        small = min(knn_k, lof_k)
+        lists = NeighborPass(X, (knn_k, lof_k)).lists(small)
+        for got, want in zip(lists, NeighborPass(X, (small,)).lists(small)):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_shared_pass_skips_a_k_the_input_has_no_room_for():
+    X = np.random.default_rng(2).standard_normal((30, 2))
+    shared = NeighborPass(X, (5, 30))
+    np.testing.assert_array_equal(knn_scores(X, 5, shared), knn_scores(X, 5))
+    with pytest.raises(TooFewSamples, match="lof with k=30"):
+        lof_scores(X, 30, shared)
+
+
+def lof_per_row_reference(X, k):
+    """LOF over the pass's lists with the per-row loops it once used."""
+    d = X.shape[0]
+    kdist, indptr, nbrs, dist = NeighborPass(X, (k,)).lists(k)
+    reach = np.maximum(kdist[nbrs], dist)
+    lrd = np.empty(d)
+    for p in range(d):
+        mean_reach = reach[indptr[p]:indptr[p + 1]].mean()
+        lrd[p] = np.inf if mean_reach == 0.0 else 1.0 / mean_reach
+    out = np.empty(d)
+    for p in range(d):
+        if np.isinf(lrd[p]):
+            out[p] = 1.0
+        else:
+            out[p] = lrd[nbrs[indptr[p]:indptr[p + 1]]].mean() / lrd[p]
+    pile_edge = np.isinf(out)
+    if pile_edge.any():
+        out[pile_edge] = out[~pile_edge].max()
+    return out, np.diff(indptr)
+
+
+def test_lof_row_means_round_as_the_per_row_loop():
+    # a half-step grid and piles of 4 to 151 rows: tens of neighbourhood
+    # sizes, some past numpy's 8-wide and 128-wide pairwise-sum blocks, and
+    # infinite lrd on the piles
+    rng = np.random.default_rng(17)
+    X = np.round(rng.standard_normal((700, 2)) * 2.0) / 2.0
+    for start, length in ((100, 3), (200, 12), (300, 40), (400, 150)):
+        X[start:start + length] = X[start - 1]
+    for k in (3, 10):
+        want, sizes = lof_per_row_reference(X, k)
+        assert np.unique(sizes).size >= 20 and sizes.max() > 128
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = lof_scores(X, k)
+        np.testing.assert_array_equal(got, want)
 
 
 def test_neighbor_pass_memory_bounded():

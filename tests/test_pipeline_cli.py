@@ -15,8 +15,13 @@ import pytest
 
 import perfdiag
 from perfdiag.cli import _config_from_args, build_parser, main
-from perfdiag.detectors import ScoreVector
-from perfdiag.errors import ConstantColumnWarning, InvalidConfig, PipelineStageError
+from perfdiag.detectors import ScoreVector, neighbors
+from perfdiag.errors import (
+    ConstantColumnWarning,
+    InvalidConfig,
+    PipelineStageError,
+    TooFewSamples,
+)
 from perfdiag.pipeline import (
     PipelineConfig,
     _detected_windows,
@@ -90,7 +95,9 @@ def test_config_rejects_bad_train_values(tmp_path, train):
      (None, {"seed": 1.9}, "seed"),
      ("rca", {"walks": "5"}, "rca.walks"),
      ("select", {"r_min": "0.5"}, "select.r_min"),
-     (None, {"out": 5}, "out")],
+     (None, {"out": 5}, "out"),
+     ("detect", {"nu": "0.1"}, "nu"),
+     ("detect", {"gamma": "x"}, "gamma")],
 )
 def test_config_rejects_bad_values_at_load(tmp_path, section, values, where):
     # checked before any stage runs, so nothing is written to the out dir
@@ -117,7 +124,10 @@ def test_config_rejects_bad_values_at_load(tmp_path, section, values, where):
      ({"csv": "a.csv", "labels": 3}, "data.labels"),
      ({"generate": {**GEN, "n_metric": 6}}, "n_metric"),
      ({"generate": {"n_samples": 400}}, "n_metrics"),
-     ({"generate": {**GEN, "n_metrics": 0}}, "metric")],
+     ({"generate": {**GEN, "n_metrics": 0}}, "metric"),
+     # a generator count is an int, not a float or a bool
+     ({"generate": {**GEN, "n_metrics": 2.5}}, "data.generate: n_metrics must be an integer"),
+     ({"generate": {**GEN, "n_metrics": True}}, "data.generate: n_metrics must be an integer")],
 )
 def test_config_checks_the_data_section_at_load(data, where):
     with pytest.raises(InvalidConfig, match=where):
@@ -162,6 +172,17 @@ def test_load_config_applies_flag_overrides(tmp_path):
     assert cfg.ensemble == "max"
     assert cfg.select_method == "pca"
     assert cfg.walks == 42
+
+
+@pytest.mark.parametrize(
+    "doc, overrides, where",
+    [([{"data": {"generate": GEN}}], {"out": "o"}, "config"),
+     ({"data": {"generate": GEN}, "rca": 5}, {"alpha": 0.1}, "rca")],
+)
+def test_load_config_checks_shape_before_overrides(tmp_path, doc, overrides, where):
+    path = write_config(tmp_path, doc)
+    with pytest.raises(InvalidConfig, match=f"{where} must be a JSON object"):
+        load_config(path, overrides)
 
 
 def test_config_hash_is_stable():
@@ -245,6 +266,50 @@ def test_pipeline_wraps_stage_failures(tmp_path):
         run_pipeline(cfg)
     assert err.value.stage == "ingest"
     assert err.value.cause is not None
+
+
+@pytest.mark.parametrize(
+    "setting, written",
+    [("lof_k", ["scores_iforest.csv", "scores_knn.csv"]), ("knn_k", ["scores_iforest.csv"])],
+)
+def test_a_distance_learner_without_room_for_its_k_fails_the_detect_stage(
+    tmp_path, setting, written
+):
+    # the shared neighbour pass serves the other learner; the one whose k is
+    # at least the row count still raises its own TooFewSamples
+    out = tmp_path / "o"
+    cfg = PipelineConfig(
+        data={"generate": GEN}, out=str(out), ensemble="max", select_method="none",
+        detector_overrides={setting: 400},
+    )
+    with pytest.raises(PipelineStageError) as err:
+        run_pipeline(cfg)
+    learner = setting[:-2]
+    assert err.value.stage == "detect"
+    assert type(err.value.cause) is TooFewSamples
+    assert str(err.value.cause) == f"{learner} with k=400 needs at least 401 points, got 400"
+    assert sorted(p.name for p in out.glob("scores_*.csv")) == written
+
+
+@pytest.mark.parametrize(
+    "detect, k",
+    [({}, 20), ({"knn_k": 7, "lof_k": 7}, 7), ({"knn_k": 20, "lof_k": 5}, 20)],
+)
+def test_a_run_makes_one_neighbour_pass(tmp_path, monkeypatch, detect, k):
+    calls = []
+
+    def counted(X, ks):
+        calls.append(max(ks))
+        return pass_once(X, ks)
+
+    pass_once = neighbors._neighbors
+    monkeypatch.setattr(neighbors, "_neighbors", counted)
+    cfg = PipelineConfig(
+        data={"generate": GEN}, out=str(tmp_path / "o"), ensemble="max",
+        detector_overrides=detect,
+    )
+    run_pipeline(cfg)
+    assert calls == [k]
 
 
 # pure-noise data can leave the indicator without graph neighbors
