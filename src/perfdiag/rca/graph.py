@@ -6,9 +6,12 @@ separating sets, then propagates orientations with the Meek rules. Edges
 whose direction stays unresolved remain undirected. Every iteration runs
 in sorted node-name order so the output is deterministic.
 
-The skeleton decides all level-0 tests in one batch. At deeper levels it
-tests an edge's conditioning sets in growing chunks, one batched inverse of
-the stacked correlation submatrices per chunk. The first independent set in
+The skeleton decides all level-0 tests in one batch. At each deeper level
+it decides the first conditioning sets of every edge up front, in a few
+batched calls, then walks the edges in order; an edge that this prefix does
+not settle goes on in doubling blocks. A test takes rho(i, j | S) from the
+2 x 2 Schur complement left after eliminating S, and a near-singular set is
+decided alone by partial_correlation. The first independent set in
 combination order still decides the edge, so the graph and the separating
 sets are those of testing one set at a time.
 """
@@ -18,7 +21,8 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
+from math import comb
 from pathlib import Path
 from statistics import NormalDist
 from typing import Iterable, Sequence
@@ -28,11 +32,19 @@ import numpy as np
 from ..core import standardize
 from ..errors import InvalidConfig, SingularSubmatrixWarning
 
-# conditioning sets per batched inverse: an edge's first chunk is small
-# because most edges fall at one of their first sets; later chunks double up
-# to the cap, a (4096, l+2, l+2) float64 stack of about 3 MB at level 8
-_CHUNK_MIN = 16
-_CHUNK_MAX = 4096
+# a decided block stacks at most this many bytes of correlation submatrices
+_BLOCK_BYTES = 1 << 19
+# conditioning sets of every pair decided at the start of a PC level. Most
+# edges that survive a level test all of their sets, so the prefix wastes at
+# most this many tests, on an edge that falls at an early set
+_PREFIX = 256
+# a pivot or final 2 x 2 determinant at or below this flags a set as near
+# singular
+_PIVOT_MIN = 1e-10
+_DEPENDENT, _INDEPENDENT, _FLAGGED = 0, 1, 2
+# subset position tables by (candidate count, level), kept while small
+_TABLE_CACHE_BYTES = 1 << 16
+_SUBSET_TABLES: dict[tuple[int, int], np.ndarray] = {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,64 +180,85 @@ def _independent(rho: np.ndarray, dof: int, q: float) -> np.ndarray:
 
 
 def _ci_from_corr(
-    corr: np.ndarray, d: int, i: int, j: int, S: tuple[int, ...], q: float
+    corr: np.ndarray, d: int, i: int, j: int, S: Sequence[int], q: float
 ) -> bool:
     rho = partial_correlation(corr, i, j, S)
     return bool(_independent(np.array([rho]), d - len(S) - 3, q)[0])
 
 
-def _batch_independent(
-    corr: np.ndarray, idx: np.ndarray, d: int, q: float
-) -> np.ndarray:
-    """Decide the tests idx[k] = (i, j, *S) at once.
+def _schur_rho(corr: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rho(i, j | S) and a near-singular flag for each test idx[k] = (*S, i, j).
 
-    Raises LinAlgError when any of the stacked submatrices is singular.
+    Eliminates S from the stacked submatrices one pivot at a time, across
+    the whole stack and on the upper triangle only, as the matrices are
+    symmetric; rho is the correlation of the 2 x 2 Schur complement that
+    is left. A set is flagged when a pivot or that complement's
+    determinant is at most _PIVOT_MIN (the diagonal is 1); its rho is then
+    not to be used.
     """
-    prec = np.linalg.inv(corr[idx[:, :, None], idx[:, None, :]])
-    return _independent(_partial_rho(prec), d - idx.shape[1] - 1, q)
+    m = idx.shape[1]
+    # (m, m, K): the set axis last, so each step runs on contiguous rows
+    cols = np.ascontiguousarray(idx.T)
+    A = corr[cols[:, None, :], cols[None, :, :]]
+    flagged = np.zeros(len(idx), dtype=bool)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for k in range(m - 2):
+            pivot = A[k, k]
+            flagged |= ~(pivot > _PIVOT_MIN)
+            f = A[k, k + 1:] / pivot
+            for r in range(k + 1, m):
+                A[r, r:] -= f[r - k - 1] * A[k, r:]
+        m00, m11, m01 = A[-2, -2], A[-1, -1], A[-2, -1]
+        flagged |= ~(m00 * m11 - m01 * m01 > _PIVOT_MIN)
+        return m01 / np.sqrt(m00 * m11), flagged
 
 
-def _pairwise_independent(corr: np.ndarray, d: int, q: float) -> np.ndarray | None:
-    """Level-0 decisions for every ordered column pair in one batch.
-
-    None when some pair is exactly collinear: those tests then run one at a
-    time so their ridge warnings come in skeleton order.
-    """
-    n = corr.shape[0]
-    i, j = np.nonzero(~np.eye(n, dtype=bool))
-    out = np.zeros((n, n), dtype=bool)
-    try:
-        out[i, j] = _batch_independent(corr, np.stack([i, j], axis=1), d, q)
-    except np.linalg.LinAlgError:
-        return None
+def _decide(corr: np.ndarray, idx: np.ndarray, dof: int, q: float) -> np.ndarray:
+    """_DEPENDENT, _INDEPENDENT or _FLAGGED for each test idx[k] = (*S, i, j),
+    in blocks that stack at most _BLOCK_BYTES of submatrices."""
+    rows = max(1, _BLOCK_BYTES // (8 * idx.shape[1] ** 2))
+    out = np.empty(len(idx), dtype=np.int8)
+    for start in range(0, len(idx), rows):
+        rho, flagged = _schur_rho(corr, idx[start:start + rows])
+        out[start:start + len(rho)] = np.where(flagged, _FLAGGED, _independent(rho, dof, q))
     return out
 
 
-def _first_independent(
-    corr: np.ndarray, d: int, q: float, i: int, j: int, subsets, level: int
-) -> tuple[int, ...] | None:
-    """The first set of ``subsets`` that separates columns i and j, or None.
+def _subsets(n: int, level: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop of the size-``level`` subsets of range(n), in
+    combination order, built a first element at a time. A whole table is
+    kept for reuse while it is at most _TABLE_CACHE_BYTES."""
+    total = comb(n, level)
+    stop = min(stop, total)
+    table = _SUBSET_TABLES.get((n, level))
+    if table is not None:
+        return table[start:stop]
+    rows = np.zeros((max(stop - start, 0), level), dtype=np.int32)
+    if level:
+        offset = 0
+        for first in range(n - level + 1):
+            count = comb(n - first - 1, level - 1)
+            lo, hi = max(start - offset, 0), min(stop - offset, count)
+            if lo < hi:
+                piece = rows[offset + lo - start:offset + hi - start]
+                piece[:, 0] = first
+                piece[:, 1:] = _subsets(n - first - 1, level - 1, lo, hi) + (first + 1)
+            offset += count
+            if offset >= stop:
+                break
+    if start == 0 and stop == total and rows.nbytes <= _TABLE_CACHE_BYTES:
+        rows.flags.writeable = False  # every later caller shares it
+        _SUBSET_TABLES[n, level] = rows
+    return rows
 
-    A chunk holding a singular submatrix is redone one test at a time, in
-    order and up to its first independent set, so the ridge fallback runs
-    and warns exactly as when testing one set at a time.
-    """
-    size = _CHUNK_MIN
-    while chunk := list(islice(subsets, size)):
-        idx = np.empty((len(chunk), level + 2), dtype=np.intp)
-        idx[:, 0], idx[:, 1] = i, j
-        idx[:, 2:] = chunk
-        try:
-            hits = _batch_independent(corr, idx, d, q)
-        except np.linalg.LinAlgError:
-            for S in chunk:
-                if _ci_from_corr(corr, d, i, j, S, q):
-                    return S
-        else:
-            if hits.any():
-                return chunk[int(hits.argmax())]
-        size = min(2 * size, _CHUNK_MAX)
-    return None
+
+def _tests(S: np.ndarray, i, j) -> np.ndarray:
+    """Index rows (*S, i, j) for the sets S[..., :] of the pairs (i, j)."""
+    idx = np.empty(S.shape[:-1] + (S.shape[-1] + 2,), dtype=np.intp)
+    idx[..., :-2] = S
+    idx[..., -2] = i
+    idx[..., -1] = j
+    return idx.reshape(-1, idx.shape[-1])
 
 
 def _z_quantile(alpha: float) -> float:
@@ -241,33 +274,107 @@ def _skeleton(
     At level l, edge (a, b) falls at the first size-l subset of adj(a) - b,
     in combination order of the sorted names, found independent; the
     removal takes effect immediately.
+
+    Nodes are handled by their rank in name order, so skeleton order is
+    index order. Level 0 is one decision over all pairs. At a deeper level
+    the first _PREFIX sets of every pair's level-start candidates are
+    decided up front. Walking the pairs in order, a pair's valid sets are
+    those holding no node removed since the level began: in combination
+    order, exactly the subsets of its current candidates. So the first
+    valid independent set is the separating set of testing one set at a
+    time. A pair the prefix does not settle goes on through its current
+    candidates' later subsets in doubling blocks.
     """
     q = _z_quantile(alpha)
-    col = {name: k for k, name in enumerate(names)}
-    adj: dict[str, set[str]] = {n: set(names) - {n} for n in names}
+    n = len(names)
+    order = sorted(range(n), key=names.__getitem__)
+    ranked = [names[k] for k in order]
+    corr_r = corr[np.ix_(order, order)]
+    adj = ~np.eye(n, dtype=bool)
     sepset: dict[tuple[str, str], tuple[str, ...]] = {}
 
+    def separated(a, b, subsets, codes) -> bool:
+        """Remove edge (a, b) at the first of ``subsets`` found independent."""
+        for r in np.flatnonzero(codes):
+            S = [int(s) for s in subsets[r]]
+            if codes[r] == _INDEPENDENT or _ci_from_corr(
+                corr, d, order[a], order[b], [order[s] for s in S], q
+            ):
+                adj[a, b] = adj[b, a] = False
+                sepset[ranked[min(a, b)], ranked[max(a, b)]] = tuple(ranked[s] for s in S)
+                return True
+        return False
+
     level = 0
-    while any(len(adj[n]) > level for n in names):
-        if d - level - 3 <= 0:
-            break  # not enough samples to condition any deeper
-        pairwise = _pairwise_independent(corr, d, q) if level == 0 else None
-        for a in sorted(names):
-            for b in sorted(adj[a]):
-                candidates = [col[s] for s in sorted(adj[a] - {b})]
-                if len(candidates) < level:
-                    continue
-                if pairwise is not None:
-                    S = () if pairwise[col[a], col[b]] else None
-                else:
-                    subsets = combinations(candidates, level)
-                    S = _first_independent(corr, d, q, col[a], col[b], subsets, level)
-                if S is not None:
-                    adj[a].discard(b)
-                    adj[b].discard(a)
-                    sepset[tuple(sorted((a, b)))] = tuple(names[k] for k in S)
+    while (adj.sum(axis=1) > level).any() and d - level - 3 > 0:
+        dof = d - level - 3
+        if level == 0:
+            i, j = np.triu_indices(n, 1)
+            codes = np.zeros((n, n), dtype=np.int8)
+            codes[i, j] = _decide(corr_r, np.stack([i, j], axis=1), dof, q)
+            codes |= codes.T
+            for a, b in zip(*np.nonzero(np.triu(codes == _INDEPENDENT))):
+                sepset[ranked[a], ranked[b]] = ()
+            adj &= codes != _INDEPENDENT
+            # flagged pairs, one at a time in skeleton order
+            for a, b in zip(*np.nonzero(codes == _FLAGGED)):
+                if adj[a, b]:
+                    separated(a, b, [()], [_FLAGGED])
+        else:
+            _level(corr_r, adj, level, dof, q, separated)
         level += 1
-    return adj, sepset
+    adjacency = {ranked[a]: {ranked[b] for b in np.flatnonzero(adj[a])} for a in range(n)}
+    return adjacency, sepset
+
+
+def _level(
+    corr: np.ndarray, adj: np.ndarray, level: int, dof: int, q: float, separated
+) -> None:
+    """One PC level >= 1 over the rank-ordered boolean adjacency ``adj``;
+    ``separated`` removes an edge at the first independent set it is given."""
+    rows = max(1, _BLOCK_BYTES // (8 * (level + 2) ** 2))
+    nodes = []  # (a, level-start neighbours, prefix positions)
+    codes, pending, held = [], [], 0
+    for a in np.flatnonzero(adj.sum(axis=1) > level):
+        nbrs = np.flatnonzero(adj[a])
+        table = _subsets(len(nbrs) - 1, level, 0, _PREFIX)
+        # the prefix of pair (a, nbrs[t]) skips position t of nbrs
+        t = np.arange(len(nbrs))[:, None, None]
+        pending.append(_tests(nbrs[table + (table >= t)], a, nbrs[:, None]))
+        nodes.append((a, nbrs, table))
+        held += len(pending[-1])
+        if held >= rows:
+            codes.append(_decide(corr, np.concatenate(pending), dof, q))
+            pending, held = [], 0
+    if pending:
+        codes.append(_decide(corr, np.concatenate(pending), dof, q))
+    codes = np.concatenate(codes) if codes else np.empty(0, np.int8)
+
+    offset = 0
+    for a, nbrs, table in nodes:
+        prefix = codes[offset:offset + len(nbrs) * len(table)].reshape(len(nbrs), -1)
+        offset += prefix.size
+        more = comb(len(nbrs) - 1, level) > len(table)
+        for t in range(len(nbrs)) if more else np.flatnonzero(prefix.any(axis=1)):
+            b = nbrs[t]
+            if not adj[a, b]:
+                continue
+            cands = np.delete(nbrs, t)
+            current = adj[a, cands]
+            if current.sum() < level:
+                continue
+            valid = current[table].all(axis=1)
+            if separated(a, b, cands[table], np.where(valid, prefix[t], _DEPENDENT)) or not more:
+                continue
+            cands = cands[current]
+            total = comb(len(cands), level)
+            start, size = int(valid.sum()), _PREFIX
+            while start < total:
+                size = min(2 * size, rows)
+                S = cands[_subsets(len(cands), level, start, start + size)]
+                if separated(a, b, S, _decide(corr, _tests(S, a, b), dof, q)):
+                    break
+                start += size
 
 
 class _Pdag:
@@ -323,9 +430,10 @@ def pc_build(values: np.ndarray, names: Sequence[str], alpha: float = 0.05) -> C
 
     Skeleton phase removes edge (i, j) at conditioning level l on the first
     size-l subset of adj(i) minus j found independent, recording it as the
-    separating set (removal takes effect immediately). The tests of one
-    edge and level run in batches but stop at that same first subset, so
-    the graph is that of testing one subset at a time. V-structures
+    separating set (removal takes effect immediately). Each level's tests
+    run in batches, some decided before that level's earlier removals; a
+    set counts only while it holds no removed node, so the graph is that
+    of testing one subset at a time. V-structures
     i -> k <- j are oriented for nonadjacent pairs whose separating set
     excludes k; conflicting orientations revert the edge to undirected.
     Meek rules then propagate directions until nothing changes.

@@ -1,8 +1,9 @@
 """Causal graph discovery and random-walk root-cause localization."""
 
 import time
+import tracemalloc
 import warnings
-from itertools import combinations
+from itertools import combinations, islice, permutations
 
 import numpy as np
 import pytest
@@ -13,10 +14,17 @@ from perfdiag.errors import (
     InvalidConfig,
     NoPredecessorsWarning,
 )
+from perfdiag.rca import graph as graph_module
 from perfdiag.rca.graph import (
+    _SUBSET_TABLES,
+    _TABLE_CACHE_BYTES,
     CausalGraph,
     _correlation_matrix,
+    _decide,
+    _independent,
+    _schur_rho,
     _skeleton,
+    _subsets,
     _z_quantile,
     partial_correlation,
     pc_build,
@@ -244,17 +252,45 @@ def collinear_binary_data():
     return np.column_stack([flag, flag, lab, lab, b, c, a, indicator]), names
 
 
+def near_singular_data():
+    # m3 is m1 + m2 plus 1e-9 noise: a test holding all three leaves a
+    # pivot or final determinant near 1e-18, which the kernel flags, while
+    # np.linalg.inv still succeeds, so no ridge warning is raised
+    data, names = factor_data(8)
+    rng = np.random.default_rng(11)
+    data[:, 3] = data[:, 1] + data[:, 2] + 1e-9 * rng.standard_normal(len(data))
+    return data, names
+
+
+SKELETON_CASES = {
+    "factors": lambda: factor_data(24),
+    "collinear": collinear_binary_data,
+    # reaches level 11, overflows the per-level prefixes and shrinks the
+    # candidate sets of later pairs in the middle of a level
+    "factors32": lambda: factor_data(32),
+    "near_singular": near_singular_data,
+}
+
+
 @pytest.mark.parametrize(
     "case, alpha",
-    [("factors", 0.01), ("factors", 0.05), ("collinear", 0.05)],
+    [("factors", 0.01), ("factors", 0.05), ("collinear", 0.05),
+     ("factors32", 0.05), ("near_singular", 0.05)],
 )
-def test_batched_skeleton_matches_one_test_per_call(case, alpha):
-    data, names = factor_data(24) if case == "factors" else collinear_binary_data()
+def test_batched_skeleton_matches_one_test_per_call(case, alpha, monkeypatch):
+    data, names = SKELETON_CASES[case]()
     corr = _correlation_matrix(data)
     d = data.shape[0]
     with warnings.catch_warnings(record=True) as expected_warnings:
         warnings.simplefilter("always")
         expected = reference_skeleton(corr, d, names, alpha)
+    alone = []  # levels of the sets the skeleton decides through partial_correlation
+
+    def counted(corr, i, j, S):
+        alone.append(len(S))
+        return partial_correlation(corr, i, j, S)
+
+    monkeypatch.setattr(graph_module, "partial_correlation", counted)
     with warnings.catch_warnings(record=True) as got_warnings:
         warnings.simplefilter("always")
         got = _skeleton(corr, d, names, alpha)
@@ -263,11 +299,90 @@ def test_batched_skeleton_matches_one_test_per_call(case, alpha):
         str(w.message) for w in expected_warnings
     ]
     assert (len(expected_warnings) > 0) == (case == "collinear")
+    if case == "near_singular":
+        assert any(level >= 1 for level in alone)
+
+
+def test_schur_kernel_matches_partial_correlation():
+    data, _ = factor_data(32)
+    corr = _correlation_matrix(data)
+    d, n = data.shape
+    q = _z_quantile(0.05)
+    rng = np.random.default_rng(3)
+    for level in range(11):
+        # rows (*S, i, j): 20,000 random tests over levels 0-10
+        idx = np.array([rng.choice(n, level + 2, replace=False) for _ in range(1819)])
+        rho, flagged = _schur_rho(corr, idx)
+        expected = np.array([partial_correlation(corr, i, j, S) for *S, i, j in idx])
+        assert not flagged.any()
+        assert np.abs(rho - expected).max() <= 1e-12
+        dof = d - level - 3
+        assert np.array_equal(_decide(corr, idx, dof, q), _independent(expected, dof, q))
+
+
+def test_schur_kernel_flags_every_singular_submatrix():
+    data, _ = collinear_binary_data()
+    corr = _correlation_matrix(data)
+    n = corr.shape[0]
+    singular = 0
+    for level in range(n - 1):
+        idx = np.array([
+            (*S, i, j)
+            for i, j in permutations(range(n), 2)
+            for S in combinations(sorted(set(range(n)) - {i, j}), level)
+        ])
+        _, flagged = _schur_rho(corr, idx)
+        for (*S, i, j), flag in zip(idx, flagged):
+            # partial_correlation inverts the submatrix in (i, j, *S) order
+            try:
+                np.linalg.inv(corr[np.ix_([i, j, *S], [i, j, *S])])
+            except np.linalg.LinAlgError:
+                singular += 1
+                assert flag, (i, j, S)
+    assert singular > 0
+
+
+def test_schur_kernel_flags_tiny_pivots():
+    # a conditioning set holding m1, m2 and m3 ~ m1 + m2 leaves a pivot
+    # near 1e-18 in whichever order the set is eliminated
+    data, _ = near_singular_data()
+    corr = _correlation_matrix(data)
+    idx = np.array([(*S, 0, 4) for S in permutations((1, 2, 3, 5))])
+    _, flagged = _schur_rho(corr, idx)
+    assert flagged.all()
+
+
+@pytest.mark.parametrize(
+    "n, level, start, stop",
+    [(5, 0, 0, 1), (6, 2, 0, 15), (12, 5, 100, 700), (30, 10, 1_000_000, 1_002_000)],
+)
+def test_subset_rows_follow_combination_order(n, level, start, stop):
+    expected = list(islice(combinations(range(n), level), start, stop))
+    got = _subsets(n, level, start, stop)
+    assert got.shape == (len(expected), level)
+    assert [tuple(row) for row in got.tolist()] == expected
+
+
+def test_skeleton_memory_bounded():
+    # measured 1.5 MiB: one 512 KiB block of stacked submatrices, its
+    # elimination temporaries and the pending prefix index rows
+    data, names = factor_data(32)
+    corr = _correlation_matrix(data)
+    tracemalloc.start()
+    try:
+        _skeleton(corr, data.shape[0], names, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20, f"{peak / 2**20:.1f} MiB"
+    assert _SUBSET_TABLES
+    assert all(t.nbytes <= _TABLE_CACHE_BYTES for t in _SUBSET_TABLES.values())
 
 
 def test_pc_dense_factor_runtime_budget():
     # 32 factor-driven metrics keep edges alive up to level 11: about 236k
-    # CI tests, so the budget holds only when an edge's tests run in batches
+    # CI tests, so the budget holds only when each level's tests are decided
+    # in batched Schur-complement calls
     data, names = factor_data(32)
     start = time.perf_counter()
     g = pc_build(data, names, alpha=0.05)
