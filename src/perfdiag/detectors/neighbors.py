@@ -12,10 +12,13 @@ distance is the exact expansion, scores match a brute-force oracle, and
 they do not depend on how BLAS orders its sums.
 
 Memory is bounded by a fixed byte budget: the Gram matrix is built one
-block of rows at a time, each block at most ``_BLOCK_BYTES``, and the exact
-re-rank runs over candidate pairs in slices of the same size. A pass holds
-at most two blocks at once, a Gram block and its partitioned copy. Only the
-tie-inclusive neighbour lists grow with the input.
+block of rows at a time, each block at most ``_BLOCK_BYTES`` (1 MiB) unless
+that leaves fewer than ``_BLOCK_ROWS_MIN`` rows, into one buffer the pass
+allocates once; the screen's mask has a reused buffer of its own. No block
+is copied to find each row's k-th Gram value: a partition of every few
+columns bounds it from above, and the few pairs under that bound give the
+exact value. The exact re-rank runs over candidate pairs in slices of the
+budget. Only the tie-inclusive neighbour lists grow with the input.
 
 LOF's means run over groups of rows of equal neighbourhood size, one
 block of rows at a time, not row by row, and round exactly as a per-row
@@ -30,7 +33,10 @@ import numpy as np
 
 from ..errors import TooFewSamples
 
-_BLOCK_BYTES = 8 << 20
+_BLOCK_BYTES = 1 << 20
+# a floor on the rows of a Gram block: at 28k rows the byte budget alone
+# gives 4-row blocks, and the per-block calls then dominate the pass
+_BLOCK_ROWS_MIN = 32
 
 
 def _pair_distances(X: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -57,21 +63,31 @@ def _neighbors(X: np.ndarray, ks):
     d, f = X.shape
     C = X - X.mean(axis=0)
     s = np.einsum("ij,ij->i", C, C)
-    # Screen margin. Let eps = 2u (u the unit roundoff), S_i = s_i + max(s)
+    # Screen margin. The screen ranks row i by G_ij = s_j - 2 c_i.c_j: in
+    # exact arithmetic G_ij + s_i = ||c_i - c_j||^2, and s_i is constant
+    # along the row. Let eps = 2u (u the unit roundoff), S_i = s_i + max(s)
     # and T_ij = ||x_i - x_j||^2 the true squared distance, T_ij <= 2 S_i.
     #   centring: fl(x - mean) moves ||c_i - c_j||^2 by <= 2 eps S_i;
-    #   Gram: s_i, s_j and c_i.c_j err by <= gamma_f ~ f u of S_i, and the
-    #     sum adds three roundings: |G_ij - T_ij| <= E_G = (f + 5) eps S_i;
+    #   Gram: s_j and 2 c_i.c_j each err by <= gamma_f ~ f u of S_i (the
+    #     factor -2 is exact), and the sum, at most 2 S_i, adds one rounding:
+    #     |G_ij + s_i - T_ij| <= E_G = (f + 3) eps S_i;
     #   exact re-rank: fl(sum fl(x - y)^2) lies within gamma_(f+2) T_ij of
     #     T_ij: E_D = (f + 2) eps S_i;
     #   sqrt can merge squared distances up to 2 eps T_ij <= 4 eps S_i apart.
     # At least k rows have G_ij <= g_k (the k-th smallest), so the exact k-th
-    # squared distance is <= g_k + E_G + E_D, and every row that ties or
-    # beats it after sqrt has G_ij <= g_k + 2 E_G + 2 E_D + 4 eps S_i =
-    # g_k + (4f + 18) eps S_i. The margin, 16 (f + 4) eps S_i, covers that
-    # more than three times over, whatever order BLAS sums in.
+    # squared distance is <= g_k + s_i + E_G + E_D, and every row that ties
+    # or beats it after sqrt has G_ij <= g_k + 2 E_G + 2 E_D + 4 eps S_i =
+    # g_k + (4f + 14) eps S_i. The margin, 16 (f + 4) eps S_i, covers that
+    # four times over, whatever order BLAS sums in.
     margin = 16.0 * (f + 4) * np.finfo(np.float64).eps * (s + s.max())
-    block = max(1, _BLOCK_BYTES // (8 * d))
+    block = min(d, max(_BLOCK_ROWS_MIN, _BLOCK_BYTES // (8 * d)))
+    # every stride-th column still gives k + 1 or more sampled columns, so a
+    # row's sample holds at least k finite values even with its own (inf) in
+    # it. A sparser sample lets about stride * k pairs per row through to the
+    # candidate stage; a stride of 4 measured faster than 2 or 8.
+    stride = max(1, min(4, (d - 1) // (k + 1)))
+    gram = np.empty((block, d))
+    screen = np.empty((block, d), dtype=bool)
     kdists = {j: np.empty(d, dtype=np.float64) for j in ks}
     sizes = np.empty(d, dtype=np.int64)
     indices: list[np.ndarray] = []
@@ -79,27 +95,43 @@ def _neighbors(X: np.ndarray, ks):
     for start in range(0, d, block):
         stop = min(start + block, d)
         local = np.arange(stop - start)
-        G = C[start:stop] @ C.T
-        G *= -2.0
-        G += s[start:stop, None]
-        G += s[None, :]
+        G, below = gram[:local.size], screen[:local.size]
+        np.matmul(-2.0 * C[start:stop], C.T, out=G)
+        G += s
         G[local, local + start] = np.inf  # exclude self
-        g_k = np.partition(G, k - 1, axis=1)[:, k - 1].copy()  # frees the partitioned block
+        lim = margin[start:stop]
+        # the sample's k-th value bounds the row's k-th value g_k from above,
+        # so the pairs within it plus the margin hold every pair within g_k
+        # plus the margin: the pairs the screen keeps
+        bound = np.partition(G[:, ::stride], k - 1, axis=1)[:, k - 1]
+        np.less_equal(G, (bound + lim)[:, None], out=below)
         # row-major: rows ascending, columns ascending within each row
-        hits = np.flatnonzero(G <= (g_k + margin[start:stop])[:, None])
+        hits = np.flatnonzero(below)
+        vals = np.take(G, hits)
         rows, cols = np.divmod(hits, d)
-        del G
-        dist = _pair_distances(X, rows + start, cols)
         counts = np.bincount(rows, minlength=local.size)
-        ranked = dist[np.lexsort((dist, rows))]
+        # each row's candidates, in order, at the start of a row of their
+        # own, padded with inf
+        width = counts.max()
+        at = np.arange(hits.size) + (local * width - np.cumsum(counts) + counts)[rows]
+        padded = np.full((local.size, width), np.inf)
+        np.put(padded, at, vals)
+        padded.partition(k - 1, axis=1)
+        keep = vals <= (padded[:, k - 1] + lim)[rows]
+        rows, cols, at = rows[keep], cols[keep], at[keep]
+        dist = _pair_distances(X, rows + start, cols)
         # the candidates hold every row within the k-distance, so their j-th
         # smallest distance is the exact j-distance for every j <= k
+        padded.fill(np.inf)
+        np.put(padded, at, dist)
+        padded.partition([j - 1 for j in kdists], axis=1)
         for j, kdist in kdists.items():
-            kdist[start:stop] = ranked[np.cumsum(counts) - counts + j - 1]
+            kdist[start:stop] = padded[:, j - 1]
         keep = dist <= kdists[k][rows + start]
         sizes[start:stop] = np.bincount(rows[keep], minlength=local.size)
         indices.append(cols[keep])
         dists.append(dist[keep])
+    del C, gram, screen  # not held while the lists are joined
     indptr = np.concatenate(([0], np.cumsum(sizes)))
     return kdists, indptr, np.concatenate(indices), np.concatenate(dists)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from perfdiag.core import SelectedFrame
-from perfdiag.detectors import DetectorSpec, ScoreVector, fit_score, threshold
+from perfdiag.detectors import DetectorSpec, ScoreVector, fit_score, neighbors, threshold
 from perfdiag.detectors.iforest import avg_path_length, iforest_scores
 from perfdiag.detectors.neighbors import NeighborPass, knn_scores, lof_scores
 from perfdiag.detectors.ocsvm import ocsvm_fit, ocsvm_scores, rbf_gamma, rbf_kernel
@@ -272,6 +272,43 @@ def hostile_inputs():
         yield X + 1e6
 
 
+def edge_inputs():
+    """(X, k) at the edges of the pass's column sample and of its blocks."""
+    rng = np.random.default_rng(33)
+    for k in (3, 8):
+        # at d = k + 1 the sample is the whole row with its own column in
+        # it, so it holds exactly k finite values; k + 2 and 2k + 3 give
+        # strides of 1 and 2
+        for d in (k + 1, k + 2, 2 * k + 3):
+            yield np.round(rng.standard_normal((d, 3)) * 2.0) / 2.0, k
+    # a 595-row pile, wider than the 218-row blocks of 600 rows, so a row's
+    # candidates span nearly every column
+    X = np.round(rng.standard_normal((600, 3)) * 4.0) / 4.0
+    X[5:] = X[5]
+    yield X, 8
+
+
+def test_neighbor_pass_exact_at_block_and_sample_edges(monkeypatch):
+    cases = [(X, k, neighbors._BLOCK_BYTES, neighbors._BLOCK_ROWS_MIN) for X, k in edge_inputs()]
+    # 25-row blocks: 120 rows span four full blocks and a partial fifth
+    cases += [(X, k, 8 * 120 * 25, 1) for X in hostile_inputs() for k in (1, 8)]
+    widest_pile = 0
+    for X, k, budget, floor in cases:
+        monkeypatch.setattr(neighbors, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(neighbors, "_BLOCK_ROWS_MIN", floor)
+        got = NeighborPass(X, (k,)).lists(k), lof_scores(X, k)
+        # one block holds the whole input at the former 8 MiB budget
+        monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 << 20)
+        want = NeighborPass(X, (k,)).lists(k), lof_scores(X, k)
+        for a, b in zip((*got[0], got[1]), (*want[0], want[1])):
+            np.testing.assert_array_equal(a, b)
+        kdist, lof, widest = direct_reference(X, k)
+        np.testing.assert_array_equal(got[0][0], kdist)
+        np.testing.assert_array_equal(got[1], lof)
+        widest_pile = max(widest_pile, widest)
+    assert widest_pile >= 594  # the pile really fills its rows' lists
+
+
 @pytest.mark.parametrize("knn_k, lof_k", [(5, 20), (20, 5), (3, 3), (1, 8)])
 def test_shared_pass_equals_a_pass_per_k(knn_k, lof_k):
     # the pass runs at the larger k and serves the smaller one from the same candidates
@@ -349,8 +386,8 @@ def test_neighbor_pass_memory_bounded():
 
 
 def test_knn_pass_frees_each_partitioned_block():
-    # a 3,000-row block is 8 MiB; the pass holds the Gram block and its
-    # partitioned copy, never a third block
+    # the pass never holds more than two 8 MiB blocks' worth of Gram values
+    # at once
     X = np.random.default_rng(4).standard_normal((3000, 3))
     tracemalloc.start()
     try:
@@ -359,6 +396,20 @@ def test_knn_pass_frees_each_partitioned_block():
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_knn_pass_copies_no_block():
+    # the pass writes 1 MiB Gram blocks into one reused buffer and copies
+    # none of them: 2.1 MiB measured, against 16.4 MiB with 8 MiB blocks
+    # each partitioned into a copy
+    X = np.random.default_rng(4).standard_normal((3000, 3))
+    tracemalloc.start()
+    try:
+        knn_scores(X, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # --- lof ------------------------------------------------------------------
