@@ -84,7 +84,7 @@ def _binary(table: Table, labels: np.ndarray) -> np.ndarray:
     if bad.size:
         i = bad[0]
         raise NonBinaryLabel(
-            f"{table.path}:{table.lines[i]}: label must be 0 or 1, got {labels[i]}"
+            f"{table.path}:{table.line(i)}: label must be 0 or 1, got {labels[i]}"
         )
     return labels
 
@@ -102,10 +102,10 @@ def load_smd(values_path, labels_path) -> tuple[MetricFrame, LabelSeries]:
     "m0", "m1", ... in file order.
     """
     table = Table(values_path, header=False)
-    if not table.rows:
+    if not table.width:
         raise ParseError(f"{values_path}: empty file")
-    width = len(table.rows[0])
-    values = np.column_stack(table.columns((float,) * width))
+    width = table.width
+    values = table.matrix()
     label_table = Table(labels_path, header=False)
     labels = _binary(label_table, label_table.columns((int,))[0])
     if len(labels) != len(values):

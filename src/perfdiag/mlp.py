@@ -189,20 +189,21 @@ def loss_and_grads(params: Params, X: np.ndarray, y: np.ndarray) -> tuple[float,
     z2 = h1 @ w2 + b2
     h2 = np.maximum(z2, 0.0)
     z3 = (h2 @ w3 + b3)[:, 0]
-    # stable BCE on logits: softplus(z) - y*z
-    loss = float((np.logaddexp(0.0, z3) - y * z3).sum() / n)
+    # stable BCE on logits: softplus(z) - y*z. The sums call np.add.reduce,
+    # as ndarray.sum does, without its Python-level wrapper
+    loss = float(np.add.reduce(np.logaddexp(0.0, z3) - y * z3) / n)
     p = _sigmoid(z3)
     dz3 = ((p - y) / n)[:, None]
     gw3 = h2.T @ dz3
-    gb3 = dz3.sum(axis=0)
+    gb3 = np.add.reduce(dz3)
     dh2 = dz3 @ w3.T
     dz2 = dh2 * (z2 > 0.0)
     gw2 = h1.T @ dz2
-    gb2 = dz2.sum(axis=0)
+    gb2 = np.add.reduce(dz2)
     dh1 = dz2 @ w2.T
     dz1 = dh1 * (z1 > 0.0)
     gw1 = X.T @ dz1
-    gb1 = dz1.sum(axis=0)
+    gb1 = np.add.reduce(dz1)
     return loss, (gw1, gb1, gw2, gb2, gw3, gb3)
 
 

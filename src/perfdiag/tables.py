@@ -3,14 +3,29 @@
 A layout is a tuple of (name, type) columns, each type one of int, float
 and str. ``format_table`` writes floats with ``repr``, so a table read back
 gives the same float bits, and ends rows in CRLF, as ``csv.writer`` does.
-``Table`` reads a file, skipping blank lines, and names the file line of
-every bad header, row or cell in a ParseError.
+
+``Table`` reads a file's first nonblank row when it opens it, and its data
+rows when asked for columns, skipping blank lines either way. A layout of
+int and float columns is parsed by numpy's C reader straight into int64 and
+float64 arrays, with no Python object per cell. That reader and ``float``
+both end in CPython's string-to-double conversion, so they give the same
+bits. The C reader refuses quoted cells, rows of the wrong width and int
+cells such as ``1.0``, and ``_plain`` makes it refuse the separators
+U+001C-U+001F, which it would strip from a cell and ``float`` would not. So
+it accepts no table that ``int`` and ``float`` reject. It does refuse a few
+cells that they accept (``1_5``, non-ASCII digits), and it cannot say which
+file line a cell is on. So whenever it refuses a table, and for every
+layout with a str column, a ``csv`` scan reads the rows again. The scan
+either returns the same columns or names the file line of the bad row or
+cell in a ParseError.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import re
+import warnings
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +37,9 @@ Layout = tuple[tuple[str, type], ...]
 _FORMAT = {int: int, float: lambda x: repr(float(x)), str: str}
 _DTYPE = {int: np.int64, float: np.float64}
 _KIND = {int: "integer", float: "number"}
+# int() and float() strip ASCII whitespace and the Unicode spaces above
+# U+007F; numpy's C reader also strips these four ASCII separators
+_SEPARATORS = re.compile("[\x1c-\x1f]")
 
 
 def format_table(layout: Layout, columns: Sequence) -> str:
@@ -38,25 +56,25 @@ def format_table(layout: Layout, columns: Sequence) -> str:
 
 
 class Table:
-    """The nonblank rows of a CSV file, with the file line of each.
+    """A CSV file, its first nonblank row read on opening.
 
-    With ``header`` the first row is the header, and ``header_line`` its line.
+    With ``header`` that row is the header, ``header_line`` its file line,
+    and the data rows follow it; without, every nonblank row is data.
+    ``width`` is the first row's field count, 0 when the file has no
+    nonblank row.
     """
 
     def __init__(self, path, header: bool = True):
         self.path = path
-        # two lists, not a (line, row) pair per row: freed pairs stay on the
-        # interpreter's tuple free list and keep the rows' memory mapped
-        self.lines, self.rows = [], []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            for row in reader:
-                if row:
-                    self.lines.append(reader.line_num)
-                    self.rows.append(row)
-        self.header_line, self.header = 1, ()
-        if header and self.rows:
-            self.header_line, self.header = self.lines.pop(0), tuple(self.rows.pop(0))
+            first = next(filter(None, reader), [])
+            line = reader.line_num
+        self.width = len(first)
+        # the file lines before the data rows, blank lines among them
+        self.header_line, self.header, self._skip = 1, (), 0
+        if header and first:
+            self.header_line, self.header, self._skip = line, tuple(first), line
 
     def error(self, line: int, message: str) -> ParseError:
         return ParseError(f"{self.path}:{line}: {message}")
@@ -70,10 +88,55 @@ class Table:
 
     def columns(self, types: Sequence[type]) -> list:
         """One column per type: int64 or float64 arrays, or tuples of str."""
-        for line, row in zip(self.lines, self.rows):
+        data = None if str in types else self._parse(types)
+        if data is None:
+            return self._scan(types)
+        return [data[name].copy() for name in data.dtype.names]
+
+    def matrix(self) -> np.ndarray:
+        """Every data row as one row of a float64 matrix ``width`` columns wide."""
+        data = self._parse((float,) * self.width)
+        if data is None:
+            return np.column_stack(self._scan((float,) * self.width))
+        # a record of float64 fields is laid out as a row of float64
+        return data.view(np.float64).reshape(len(data), self.width)
+
+    def _parse(self, types: Sequence[type]):
+        """The data rows as a record array by numpy's C reader, or None if it refuses them."""
+        dtype = np.dtype([(f"c{c}", _DTYPE[kind]) for c, kind in enumerate(types)])
+        try:
+            with warnings.catch_warnings(), open(self.path, newline="") as fh:
+                # a table with no data rows goes to the scan, which returns
+                # its empty columns without this warning
+                warnings.filterwarnings("error", "loadtxt: input contained no data")
+                return np.loadtxt(_plain(fh), dtype=dtype, delimiter=",", comments=None,
+                                  skiprows=self._skip, ndmin=1)
+        except (ValueError, UserWarning):
+            return None
+
+    def line(self, index: int) -> int:
+        """The file line of data row ``index``, found by a fresh scan."""
+        return self._rows()[0][index]
+
+    def _rows(self) -> tuple[list, list]:
+        """The file line and the cells of every nonblank data row."""
+        lines, rows = [], []
+        with open(self.path, newline="") as fh:
+            reader = csv.reader(fh)
+            for row in reader:
+                if row:
+                    lines.append(reader.line_num)
+                    rows.append(row)
+        if self.header:
+            del lines[0], rows[0]
+        return lines, rows
+
+    def _scan(self, types: Sequence[type]) -> list:
+        lines, rows = self._rows()
+        for line, row in zip(lines, rows):
             if len(row) != len(types):
                 raise self.error(line, f"expected {len(types)} fields, got {len(row)}")
-        cells = list(zip(*self.rows)) or [()] * len(types)
+        cells = list(zip(*rows)) or [()] * len(types)
         try:
             return [
                 col if kind is str
@@ -82,7 +145,7 @@ class Table:
             ]
         except ValueError:
             # the first bad cell in file order, whichever column failed first
-            for line, row in zip(self.lines, self.rows):
+            for line, row in zip(lines, rows):
                 for c, (kind, cell) in enumerate(zip(types, row), start=1):
                     try:
                         kind(cell)
@@ -91,3 +154,11 @@ class Table:
                             f"{self.path}:{line} col {c}: expected {_KIND[kind]}, got {cell!r}"
                         ) from None
             raise
+
+
+def _plain(lines):
+    """The lines, refusing with ValueError any with a separator numpy strips."""
+    for line in lines:
+        if _SEPARATORS.search(line):
+            raise ValueError(f"separator character in {line!r}")
+        yield line

@@ -1,5 +1,9 @@
 """CSV/SMD loading and the synthetic fault generator."""
 
+import re
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -43,6 +47,17 @@ def test_load_csv_label_two_rejected(tmp_path):
         load_csv(d, l)
 
 
+def test_non_binary_label_names_its_file_line_past_blank_lines(tmp_path):
+    d = write(tmp_path / "d.csv", "timestamp,a\n0,1.0\n15,2.0\n30,3.0\n")
+    l = write(tmp_path / "l.csv", "\n\ntimestamp,label\n0,0\n\n15,1\n\n30,2\n")
+    with pytest.raises(NonBinaryLabel, match=rf"^{re.escape(l)}:8: label must be 0 or 1, got 2$"):
+        load_csv(d, l)
+    v = write(tmp_path / "v.txt", "1.0\n2.0\n3.0\n")
+    l = write(tmp_path / "l.txt", "\n0\n\n\n-1\n0\n")
+    with pytest.raises(NonBinaryLabel, match=rf"^{re.escape(l)}:5: label must be 0 or 1, got -1$"):
+        load_smd(v, l)
+
+
 def test_load_csv_nonuniform_spacing(tmp_path):
     p = write(tmp_path / "d.csv", "timestamp,a\n0,1.0\n15,2.0\n40,3.0\n")
     with pytest.raises(NonUniformSpacing):
@@ -73,6 +88,27 @@ def test_load_smd_row_mismatch(tmp_path):
     l = write(tmp_path / "l.txt", "\n".join("0" for _ in range(9)) + "\n")
     with pytest.raises(RowCountMismatch):
         load_smd(v, l)
+
+
+def test_load_smd_memory_bounded_at_smd_scale(tmp_path):
+    # 28,000 rows x 38 quantized metrics, the size of one SMD machine: the
+    # parse holds no Python object per cell, so its peak stays near the
+    # 8.1 MiB of the values themselves
+    rng = np.random.default_rng(7)
+    values = np.round(rng.normal(0.0, 1.0, size=(28_000, 38)) * 4.0) / 4.0
+    np.savetxt(tmp_path / "v.txt", values, fmt="%.2f", delimiter=",")
+    (tmp_path / "l.txt").write_text("0\n" * 28_000)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        frame, _ = load_smd(tmp_path / "v.txt", tmp_path / "l.txt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    elapsed = time.perf_counter() - start
+    assert frame.values.tobytes() == values.tobytes()
+    assert peak < 3 * values.nbytes, f"peak {peak / 2**20:.1f} MiB"
+    assert elapsed < 5.0, f"runtime budget 5 s exceeded: {elapsed:.1f}s"
 
 
 def test_ground_truth_requires_causes_for_windows():

@@ -1,11 +1,15 @@
 """The CSV codec: exact round trips, and one diagnostic for every bad table."""
 
+import ast
 import json
 import shutil
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import perfdiag
 from perfdiag.cli import main
 from perfdiag.errors import ParseError
 from perfdiag.ingest import load_csv, load_smd
@@ -34,6 +38,112 @@ def test_blank_lines_are_skipped_and_lines_still_counted(tmp_path):
     path.write_text("timestamp,a\n\n0,1.0\n\n1,x\n")
     with pytest.raises(ParseError, match=r"t\.csv:5 col 2: expected number, got 'x'"):
         Table(path).read((("timestamp", int), ("a", float)))
+
+
+# float64 values at the edges of the format, then random bit patterns
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+           1.7976931348623157e308, -1e308, np.inf, -np.inf, 0.1, 1.0 / 3.0]
+FLOAT_FORMATS = {"repr": repr, "%.17g": lambda x: "%.17g" % x, "%.2f": lambda x: "%.2f" % x}
+INT_CELLS = ["0", "-0", "+7", "9223372036854775807", "-9223372036854775808"]
+
+
+def edge_floats(seed):
+    bits = np.random.default_rng(seed).integers(0, 2**64, size=400, dtype=np.uint64)
+    drawn = bits.view(np.float64)
+    return SPECIAL + drawn[np.isfinite(drawn)].tolist()
+
+
+def write_rows(path, rows, newline, blanks, header=None):
+    """The rows as CSV text, with a blank line before every blanks-th row."""
+    lines = ["", ""] + ([header] if header else [])
+    for i, row in enumerate(rows):
+        if i % blanks == 0:
+            lines.append("")
+        lines.append(",".join(row))
+    path.write_text(newline.join(lines) + newline, newline="")
+
+
+@pytest.mark.parametrize("fmt", sorted(FLOAT_FORMATS))
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_c_reader_parses_floats_bit_identical_to_float(tmp_path, monkeypatch, fmt, newline):
+    xs = [FLOAT_FORMATS[fmt](x) for x in edge_floats(7)]
+    rows = [(INT_CELLS[i % len(INT_CELLS)], xs[i], xs[-1 - i]) for i in range(len(xs))]
+    # the C reader must take these tables whole: the scan is not called
+    monkeypatch.setattr(Table, "_scan", lambda *_: pytest.fail("the scan was called"))
+    path = tmp_path / "t.csv"
+    write_rows(path, rows, newline, 7, header="n,a,b")
+    ns, a, b = Table(path).read((("n", int), ("a", float), ("b", float)))
+    assert ns.tobytes() == np.array([int(r[0]) for r in rows], dtype=np.int64).tobytes()
+    for got, cells in ((a, [r[1] for r in rows]), (b, [r[2] for r in rows])):
+        assert got.tobytes() == np.array([float(c) for c in cells]).tobytes()
+    write_rows(path, [r[1:] for r in rows], newline, 5)
+    matrix = Table(path, header=False).matrix()
+    want = np.array([[float(c) for c in r[1:]] for r in rows])
+    assert matrix.flags.c_contiguous and matrix.tobytes() == want.tobytes()
+
+
+def test_cells_only_int_and_float_accept_keep_todays_values(tmp_path):
+    # the C reader refuses each of these lines; the scan reads the values
+    path = tmp_path / "t.csv"
+    path.write_text('n,x\n"3","2.5"\n1_5,1_5\n 4 , 0.25 \n\u0661\u0662,\u0663.5\n')
+    ns, xs = Table(path).read((("n", int), ("x", float)))
+    assert ns.tolist() == [3, 15, 4, 12] and xs.tolist() == [2.5, 15.0, 0.25, 3.5]
+    path.write_text('"1.5",2\n\n1_0,\u0664\n')
+    assert Table(path, header=False).matrix().tolist() == [[1.5, 2.0], [10.0, 4.0]]
+
+
+# cells that int() or float() treat differently from numpy's C reader, or
+# from each other; "\x1c" is stripped by numpy but rejected by float()
+CELLS = ["0", "5", "-1", "+2", "1.5", "1e3", " 7 ", "1_5", '"3"', "\u0661", "\x1c4",
+         "4\x1f", "", "x", "nan", "-inf", "\t8", "\xa09", "0x1", "1.0", "99999999999999999999"]
+
+
+def outcome(read):
+    try:
+        return [col.dtype.str + col.tobytes().hex() for col in read()]
+    except (ParseError, OverflowError) as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def test_c_reader_and_scan_agree_on_hostile_cells(tmp_path):
+    rng = np.random.default_rng(16)
+    path = tmp_path / "t.csv"
+    for _ in range(400):
+        types = [(int, float)[k] for k in rng.integers(0, 2, size=rng.integers(1, 4))]
+        rows = [[CELLS[c] for c in rng.integers(0, len(CELLS), size=len(types))]
+                for _ in range(3)]
+        path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        table = Table(path, header=False)
+        assert outcome(lambda: table.columns(types)) == outcome(lambda: table._scan(types)), rows
+
+
+def test_header_only_table_gives_empty_columns(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("\nn,x\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ns, xs = Table(path).read((("n", int), ("x", float)))
+    assert ns.dtype == np.int64 and xs.dtype == np.float64
+    assert ns.shape == xs.shape == (0,)
+
+
+def test_only_the_codec_reads_or_writes_csv():
+    codec_only = {"loadtxt", "genfromtxt", "savetxt"}
+    package = Path(perfdiag.__file__).parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        if path == package / "tables.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = set()
+            if isinstance(node, ast.Import):
+                names = {alias.name for alias in node.names} & {"csv"}
+            elif isinstance(node, ast.ImportFrom):
+                names = {node.module} & {"csv"} or {a.name for a in node.names} & codec_only
+            elif isinstance(node, ast.Attribute) and node.attr in codec_only:
+                names = {node.attr}
+            offenders += [f"{path.relative_to(package)}:{node.lineno} {n}" for n in names]
+    assert not offenders, offenders
 
 
 def replay_config(directory):
