@@ -7,18 +7,44 @@ validate their invariants eagerly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyIntersection, LengthMismatch, NonUniformSpacing, ShapeMismatch
+from .errors import EmptyIntersection, InvalidConfig, LengthMismatch, NonUniformSpacing, ShapeMismatch
+
+# what each scalar field annotation takes, and how a message names it
+_SCALARS = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+            "str": ((str,), "a string")}
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(a)
     out.flags.writeable = False
     return out
+
+
+def check_fields(obj, where=str) -> None:
+    """Check each int, float and str field of a config dataclass by its annotation.
+
+    A float field takes an int or a float and stores a float. ``Optional[...]``
+    also takes None and keeps a number as given. A bool is never a number, and
+    other annotations are skipped. ``where(name)`` names a field in a message.
+    """
+    for f in fields(obj):
+        # annotations are strings here: the modules use postponed evaluation
+        optional = f.type.startswith("Optional[")
+        kind = f.type.removeprefix("Optional[").removesuffix("]")
+        value = getattr(obj, f.name)
+        if kind not in _SCALARS or optional and value is None:
+            continue
+        types, rule = _SCALARS[kind]
+        if not isinstance(value, types) or isinstance(value, bool):
+            rule += " or null" if optional else ""
+            raise InvalidConfig(f"{where(f.name)} must be {rule}, got {value!r}")
+        if kind == "float" and not optional:
+            object.__setattr__(obj, f.name, float(value))
 
 
 def _check_finite(values: np.ndarray, names: Sequence[str]) -> None:

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..core import SelectedFrame
+from ..core import SelectedFrame, check_fields
 from ..errors import InvalidConfig, NumericalFailure, TooFewSamples
 from ..seeding import derived_rng
 from .iforest import iforest_scores
@@ -40,23 +40,18 @@ class DetectorSpec:
     gamma: Optional[float] = None  # defaults to the variance-scaled rule
 
     def __post_init__(self):
+        check_fields(self)
         if self.kind not in KINDS:
             raise InvalidConfig(f"unknown detector kind {self.kind!r}")
         if not 0.0 < self.anomaly_fraction < 1.0:
             raise InvalidConfig("anomaly_fraction must lie in (0, 1)")
         for name in ("n_trees", "subsample", "knn_k", "lof_k"):
-            value = getattr(self, name)
-            if not (type(value) is int and value >= 1):
-                raise InvalidConfig(f"{name} must be an integer >= 1, got {value!r}")
-        # an int is a real number, a bool is not
-        for name, rule, holds in (
-            ("nu", "a real number in (0, 1)", lambda v: 0.0 < v < 1.0),
-            ("gamma", "a finite real number > 0", lambda v: 0.0 < v < math.inf),
-        ):
-            value = getattr(self, name)
-            real = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if value is not None and not (real and holds(value)):
-                raise InvalidConfig(f"{name} must be {rule}, got {value!r}")
+            if getattr(self, name) < 1:
+                raise InvalidConfig(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if self.nu is not None and not 0.0 < self.nu < 1.0:
+            raise InvalidConfig(f"nu must lie in (0, 1), got {self.nu!r}")
+        if self.gamma is not None and not 0.0 < self.gamma < math.inf:
+            raise InvalidConfig(f"gamma must be finite and > 0, got {self.gamma!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,12 +8,12 @@ be measured against exact ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import LabelSeries, MetricFrame
+from .core import LabelSeries, MetricFrame, check_fields
 from .errors import (
     EmptyGroundTruth,
     InvalidConfig,
@@ -146,12 +146,11 @@ class GenConfig:
     root_causes: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
-        for f in fields(self):  # annotations are strings here: postponed evaluation
-            value = getattr(self, f.name)
-            if f.type == "int" and type(value) is not int:
-                raise InvalidConfig(f"{f.name} must be an integer, got {value!r}")
+        check_fields(self)
         if self.n_metrics < 1 or self.n_samples < 1:
             raise InvalidConfig("need at least one metric and one sample")
+        if self.interval < 1:
+            raise InvalidConfig(f"interval must be >= 1, got {self.interval}")
         if not 0.0 <= self.edge_prob <= 1.0:
             raise InvalidConfig("edge_prob must lie in [0, 1]")
         if self.noise_std <= 0:
@@ -169,6 +168,21 @@ class GenConfig:
                 )
             if self.n_root_causes < 1 and not self.root_causes:
                 raise InvalidConfig("windows requested but no root causes")
+        names = _metric_names(self.n_metrics)
+        for name in ("edges", "root_causes"):
+            if not isinstance(getattr(self, name), (list, tuple, type(None))):
+                raise InvalidConfig(f"{name} must be a list, got {getattr(self, name)!r}")
+        for edge in self.edges or ():
+            if not (isinstance(edge, (list, tuple)) and len(edge) == 2):
+                raise InvalidConfig(f"each edge must be a [parent, child] pair, got {edge!r}")
+            a, b = edge
+            if a not in names or b not in names:
+                raise InvalidConfig(f"edge ({a}, {b}) references unknown metric")
+            if names.index(a) >= names.index(b):
+                raise InvalidConfig(f"edge ({a}, {b}) violates index order; list edges parent-first")
+        unknown = [r for r in self.root_causes or () if r not in names]
+        if unknown:
+            raise InvalidConfig(f"unknown root-cause metrics: {unknown}")
 
 
 def _metric_names(n: int) -> tuple[str, ...]:
@@ -177,18 +191,8 @@ def _metric_names(n: int) -> tuple[str, ...]:
 
 def _resolve_edges(config: GenConfig, names: Sequence[str], rng: np.random.Generator):
     """Index pairs (i, j) with i -> j; topological order is index order."""
-    index = {name: i for i, name in enumerate(names)}
     if config.edges is not None:
-        pairs = []
-        for a, b in config.edges:
-            if a not in index or b not in index:
-                raise InvalidConfig(f"edge ({a}, {b}) references unknown metric")
-            if index[a] >= index[b]:
-                raise InvalidConfig(
-                    f"edge ({a}, {b}) violates index order; list edges parent-first"
-                )
-            pairs.append((index[a], index[b]))
-        return sorted(set(pairs))
+        return sorted({(names.index(a), names.index(b)) for a, b in config.edges})
     n = len(names)
     draws = rng.random((n, n))
     return [(i, j) for i in range(n) for j in range(i + 1, n) if draws[i, j] < config.edge_prob]
@@ -232,11 +236,7 @@ def generate(config: GenConfig, seed: int) -> tuple[MetricFrame, LabelSeries, Gr
     sources = [i for i in range(config.n_metrics) if in_deg[i] == 0]
 
     if config.root_causes is not None:
-        index = {name: i for i, name in enumerate(names)}
-        unknown = [r for r in config.root_causes if r not in index]
-        if unknown:
-            raise InvalidConfig(f"unknown root-cause metrics: {unknown}")
-        rc_idx = sorted(index[r] for r in config.root_causes)
+        rc_idx = sorted(names.index(r) for r in config.root_causes)
     elif config.n_windows > 0:
         n_rc = min(config.n_root_causes, len(sources))
         rc_idx = sorted(rng.choice(sources, size=n_rc, replace=False).tolist())

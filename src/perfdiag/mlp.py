@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DiagnosisReport, ScoreMatrix
+from .core import DiagnosisReport, ScoreMatrix, check_fields
 from .errors import (
     InvalidConfig,
     NonFiniteLoss,
@@ -48,10 +48,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise InvalidConfig(f"train.epochs must be >= 1, got {self.epochs}")
-        if self.batch < 1:
-            raise InvalidConfig(f"train.batch must be >= 1, got {self.batch}")
+        check_fields(self, where=lambda name: f"train.{name}")
+        for name in ("epochs", "batch"):
+            if getattr(self, name) < 1:
+                raise InvalidConfig(f"train.{name} must be >= 1, got {getattr(self, name)}")
         if not (np.isfinite(self.lr) and self.lr > 0.0):
             raise InvalidConfig(f"train.lr must be finite and > 0, got {self.lr}")
 

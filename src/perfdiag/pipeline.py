@@ -29,6 +29,7 @@ from .core import (
     ScoreMatrix,
     SelectedFrame,
     align,
+    check_fields,
     dumps_json,
 )
 from .detectors import KINDS, DetectorSpec, NeighborPass, ScoreVector, fit_score, threshold
@@ -51,7 +52,8 @@ from .tables import Table, format_table
 
 SELECT_METHODS = ("correlation", "pca", "none")
 ENSEMBLES = ("max", "avg", "weighted", "deep")
-DETECTOR_SETTINGS = {"n_trees", "subsample", "knn_k", "lof_k", "nu", "gamma"}
+# the detect keys beside anomaly_fraction: the learner settings of DetectorSpec
+DETECTOR_SETTINGS = {f.name for f in fields(DetectorSpec)} - {"kind", "anomaly_fraction", "seed"}
 # each data source and the other data keys it takes; SMD data must give its labels
 DATA_SOURCES = {"csv": {"labels"}, "smd_values": {"smd_labels"}, "generate": set()}
 REPORT_SCHEMA_VERSION = 1
@@ -115,21 +117,7 @@ class PipelineConfig:
     walk_length: Optional[int] = None
 
     def __post_init__(self):
-        # each setting's type follows its default: an int takes an int, a
-        # float an int or a float (stored as a float), a str a str, and None
-        # None or an integer >= 1; a bool is never a number
-        for name, (section, key) in SETTINGS.items():
-            value, default = getattr(self, name), self.__dataclass_fields__[name].default
-            types = {float: (int, float), type(None): int}.get(type(default), type(default))
-            ok = isinstance(value, types) and not isinstance(value, bool)
-            if default is None:
-                ok = value is None or ok and value >= 1
-            if not ok:
-                rule = "an integer >= 1" if default is None else type(default).__name__
-                where = f"{section}.{key}" if section else key
-                raise InvalidConfig(f"{where} must be {rule}, got {value!r}")
-            if isinstance(default, float):
-                object.__setattr__(self, name, float(value))
+        check_fields(self, where=lambda name: ".".join(filter(None, SETTINGS[name])))
         for ok, rule in (
             (self.select_method in SELECT_METHODS, f"select.method must be one of {SELECT_METHODS}"),
             (self.ensemble in ENSEMBLES, f"ensemble must be one of {ENSEMBLES}"),
@@ -137,6 +125,8 @@ class PipelineConfig:
             (0.0 < self.alpha < 1.0, "rca.alpha must lie in (0, 1)"),
             (self.shift >= 0, "shift must be >= 0"),
             (self.walks >= 1, "rca.walks must be >= 1"),
+            (self.walk_length is None or self.walk_length >= 1, "rca.length must be >= 1"),
+            (self.pca_components is None or self.pca_components >= 1, "select.n_fixed must be >= 1"),
             (-(2**63) <= self.seed < 2**64, "seed must fit in 64 bits"),
         ):
             if not ok:
@@ -505,28 +495,15 @@ def ranking_table(ranking: RootCauseRanking) -> str:
     return format_table(RANKING, [range(1, len(names) + 1), names, counts])
 
 
-def _detected_windows(timeline: np.ndarray) -> list[tuple[int, int]]:
-    """Inclusive [start, end] row spans of consecutive 1-verdicts."""
-    windows = []
-    start = None
-    for i, v in enumerate(timeline):
-        if v and start is None:
-            start = i
-        elif not v and start is not None:
-            windows.append((start, i - 1))
-            start = None
-    if start is not None:
-        windows.append((start, len(timeline) - 1))
-    return windows
-
-
 def _rca_span(timeline: np.ndarray) -> np.ndarray:
     """Window rows plus an equal-length preceding stretch, per detection."""
-    rows: set[int] = set()
-    for start, end in _detected_windows(timeline):
-        length = end - start + 1
-        rows.update(range(max(0, start - length), end + 1))
-    return np.array(sorted(rows), dtype=np.int64)
+    # a window starts where a 0 turns to 1 and stops (exclusive) where it turns back
+    flags = np.concatenate(([False], timeline != 0, [False]))
+    starts, stops = np.flatnonzero(np.diff(flags)).reshape(-1, 2).T
+    span = np.zeros(len(timeline), dtype=bool)
+    for start, stop in zip(starts.tolist(), stops.tolist()):
+        span[max(0, 2 * start - stop) : stop] = True
+    return np.flatnonzero(span)
 
 
 def _rca(run: _Run) -> None:
@@ -538,9 +515,7 @@ def _rca(run: _Run) -> None:
         if run.labels is not None
         else run.verdict_timeline
     )
-    windows = _detected_windows(timeline)
-    if not windows:
-        run.rca_info = None
+    if not timeline.any():
         return
     rows = _rca_span(timeline)
     # causal nodes must be real metrics: reuse the correlation selection if

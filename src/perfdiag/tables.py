@@ -143,13 +143,15 @@ class Table:
                 else np.fromiter(map(kind, col), dtype=_DTYPE[kind], count=len(col))
                 for kind, col in zip(types, cells)
             ]
-        except ValueError:
-            # the first bad cell in file order, whichever column failed first
+        except (ValueError, OverflowError):
+            # the first bad cell in file order, whichever column failed first;
+            # an int beyond int64 parses but overflows in the conversion
             for line, row in zip(lines, rows):
                 for c, (kind, cell) in enumerate(zip(types, row), start=1):
                     try:
-                        kind(cell)
-                    except ValueError:
+                        if kind is not str:
+                            _DTYPE[kind](kind(cell))
+                    except (ValueError, OverflowError):
                         raise ParseError(
                             f"{self.path}:{line} col {c}: expected {_KIND[kind]}, got {cell!r}"
                         ) from None

@@ -263,7 +263,8 @@ def test_training_matches_per_array_reference_bit_for_bit(rows, batch, shift, se
 @pytest.mark.parametrize(
     "bad",
     [{"batch": 0}, {"batch": -5}, {"epochs": 0},
-     {"lr": 0.0}, {"lr": -1e-3}, {"lr": float("nan")}, {"lr": float("inf")}],
+     {"lr": 0.0}, {"lr": -1e-3}, {"lr": float("nan")}, {"lr": float("inf")},
+     {"epochs": 2.5}, {"batch": True}, {"lr": "x"}],
 )
 def test_training_rejects_bad_config(bad):
     X, y = toy_data(0)

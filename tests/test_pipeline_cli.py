@@ -6,8 +6,10 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,16 +17,18 @@ import pytest
 
 import perfdiag
 from perfdiag.cli import _config_from_args, build_parser, main
-from perfdiag.detectors import ScoreVector, neighbors
+from perfdiag.detectors import DetectorSpec, ScoreVector, neighbors
 from perfdiag.errors import (
     ConstantColumnWarning,
     InvalidConfig,
     PipelineStageError,
     TooFewSamples,
 )
+from perfdiag.ingest import GenConfig
 from perfdiag.pipeline import (
+    DETECTOR_SETTINGS,
+    SETTINGS,
     PipelineConfig,
-    _detected_windows,
     _rca_span,
     _report_from_scores,
     load_config,
@@ -110,6 +114,40 @@ def test_config_rejects_bad_values_at_load(tmp_path, section, values, where):
     assert not out.exists()
 
 
+# values of the wrong type for each kind of scalar; a bool is never a number
+WRONG = {"int": ["x", 2.5, True], "float": ["x", True], "str": [5, True]}
+
+
+def wrong_types():
+    """(JSON path, message prefix, value) for every scalar config key and wrong value."""
+    settings = {f.name: f.type for f in fields(PipelineConfig)}
+    learner = {f.name: f.type for f in fields(DetectorSpec)}
+    keys = [(tuple(filter(None, loc)), ".".join(filter(None, loc)), settings[name])
+            for name, loc in SETTINGS.items()]
+    keys += [(("detect", k), k, learner[k]) for k in sorted(DETECTOR_SETTINGS)]
+    keys += [(("data", "generate", f.name), f"data.generate: {f.name}", f.type)
+             for f in fields(GenConfig)]
+    for path, where, annotation in keys:
+        kind = annotation.removeprefix("Optional[").removesuffix("]")
+        # null is wrong only where the setting cannot be unset
+        for value in WRONG.get(kind, []) + ([None] if kind == annotation else []):
+            yield pytest.param(path, where, value, id=f"{'.'.join(path)}={value!r}")
+
+
+@pytest.mark.parametrize("path, where, value", wrong_types())
+def test_every_scalar_key_rejects_a_wrong_type_at_load(tmp_path, path, where, value):
+    out = tmp_path / "out"
+    doc = {"data": {"generate": dict(GEN)}, "out": str(out)}
+    *sections, key = path
+    part = doc
+    for section in sections:
+        part = part.setdefault(section, {})
+    part[key] = value
+    with pytest.raises(InvalidConfig, match=f"^{re.escape(where)} must be "):
+        load_config(write_config(tmp_path, doc))
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "data, where",
     [({}, "exactly one of"),
@@ -127,7 +165,14 @@ def test_config_rejects_bad_values_at_load(tmp_path, section, values, where):
      ({"generate": {**GEN, "n_metrics": 0}}, "metric"),
      # a generator count is an int, not a float or a bool
      ({"generate": {**GEN, "n_metrics": 2.5}}, "data.generate: n_metrics must be an integer"),
-     ({"generate": {**GEN, "n_metrics": True}}, "data.generate: n_metrics must be an integer")],
+     ({"generate": {**GEN, "n_metrics": True}}, "data.generate: n_metrics must be an integer"),
+     # the generator's edge and root-cause checks run at load too
+     ({"generate": {**GEN, "edges": [["m1", "m0"]]}}, r"data.generate: edge \(m1, m0\) violates"),
+     ({"generate": {**GEN, "edges": [["m0", "m9"]]}}, r"data.generate: edge \(m0, m9\) references"),
+     ({"generate": {**GEN, "root_causes": ["m9"]}}, "data.generate: unknown root-cause"),
+     ({"generate": {**GEN, "edges": [["m0"]]}}, "data.generate: each edge must be"),
+     ({"generate": {**GEN, "interval": 0}}, "data.generate: interval must be"),
+     ({"generate": {**GEN, "root_causes": "m1"}}, "data.generate: root_causes must be")],
 )
 def test_config_checks_the_data_section_at_load(data, where):
     with pytest.raises(InvalidConfig, match=where):
@@ -229,15 +274,13 @@ def test_every_common_flag_lands_in_the_config(tmp_path):
 
 # --- window helpers -------------------------------------------------------
 
-def test_detected_windows():
-    timeline = np.array([0, 1, 1, 0, 0, 1])
-    assert _detected_windows(timeline) == [(1, 2), (5, 5)]
-    assert _detected_windows(np.zeros(4, dtype=np.int64)) == []
-
-
 def test_rca_span_includes_preceding_stretch():
+    # windows [1, 2] and [5, 5]; the first one's stretch is cut at row 0
     timeline = np.array([0, 1, 1, 0, 0, 1])
     np.testing.assert_array_equal(_rca_span(timeline), [0, 1, 2, 4, 5])
+    # overlapping stretches merge, and a window may end the timeline
+    np.testing.assert_array_equal(_rca_span(np.array([0, 0, 0, 1, 0, 1, 1])), [2, 3, 4, 5, 6])
+    assert _rca_span(np.zeros(4, dtype=np.int64)).size == 0
 
 
 # --- run_pipeline ---------------------------------------------------------

@@ -40,6 +40,14 @@ def test_blank_lines_are_skipped_and_lines_still_counted(tmp_path):
         Table(path).read((("timestamp", int), ("a", float)))
 
 
+def test_int_beyond_int64_names_its_cell(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("timestamp,a\n0,1.0\n\n99999999999999999999,2.0\n")
+    with pytest.raises(ParseError) as err:
+        Table(path).read((("timestamp", int), ("a", float)))
+    assert str(err.value) == f"{path}:4 col 1: expected integer, got '99999999999999999999'"
+
+
 # float64 values at the edges of the format, then random bit patterns
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
            1.7976931348623157e308, -1e308, np.inf, -np.inf, 0.1, 1.0 / 3.0]
@@ -101,7 +109,7 @@ CELLS = ["0", "5", "-1", "+2", "1.5", "1e3", " 7 ", "1_5", '"3"', "\u0661", "\x1
 def outcome(read):
     try:
         return [col.dtype.str + col.tobytes().hex() for col in read()]
-    except (ParseError, OverflowError) as err:
+    except ParseError as err:
         return f"{type(err).__name__}: {err}"
 
 
