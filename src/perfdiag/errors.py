@@ -62,7 +62,7 @@ class SingleClassTraining(PerfDiagError):
 
 
 class NonFiniteLoss(PerfDiagError):
-    """Training loss became NaN or infinite."""
+    """Training loss, optimizer state or model parameters became NaN or infinite."""
 
 
 class EmptyGroundTruth(PerfDiagError):

@@ -5,16 +5,19 @@ trained with binary cross-entropy and the Adam optimizer. A prediction
 shift s trains on pairs (scores at t, label at t+s) so the model forecasts
 s samples ahead. Training is fully deterministic in (data, config).
 
-``train_deep`` keeps W1..b3 as views into one flat float64 buffer and runs
-one Adam step per minibatch over the flat parameter, gradient and moment
-buffers with in-place ufuncs, in the operation order of a per-array update,
-so the weights are bit-identical to it. Each epoch gathers the shuffled
-rows once; its minibatches are contiguous slices.
+``train_deep`` keeps W1..b3 as views into one flat float64 buffer.
+``loss_and_grads`` writes the gradients into views of a second flat buffer
+of the same layout, and the Adam moments m and v are the two rows of one
+stacked buffer. Each minibatch's Adam step is a few in-place ufuncs over
+these buffers, in the operation order of a per-array update, so the
+weights are bit-identical to it. Each epoch gathers the shuffled rows once;
+its minibatches are contiguous slices.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
@@ -49,11 +52,17 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fields(self, where=lambda name: f"train.{name}")
-        for name in ("epochs", "batch"):
-            if getattr(self, name) < 1:
-                raise InvalidConfig(f"train.{name} must be >= 1, got {getattr(self, name)}")
-        if not (np.isfinite(self.lr) and self.lr > 0.0):
-            raise InvalidConfig(f"train.lr must be finite and > 0, got {self.lr}")
+        for name, ok, rule in (
+            ("epochs", self.epochs >= 1, ">= 1"),
+            ("batch", self.batch >= 1, ">= 1"),
+            ("hidden", self.hidden >= 1, ">= 1"),
+            ("lr", math.isfinite(self.lr) and self.lr > 0.0, "finite and > 0"),
+            ("eps", math.isfinite(self.eps) and self.eps > 0.0, "finite and > 0"),
+            ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
+            ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
+        ):
+            if not ok:
+                raise InvalidConfig(f"train.{name} must be {rule}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -180,30 +189,42 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def loss_and_grads(params: Params, X: np.ndarray, y: np.ndarray) -> tuple[float, Params]:
-    """Mean binary cross-entropy on the batch and its parameter gradients."""
+def loss_and_grads(
+    params: Params, X: np.ndarray, y: np.ndarray, out: Optional[Params] = None
+) -> tuple[float, Params]:
+    """Mean binary cross-entropy on the batch and its parameter gradients.
+
+    With ``out``, six C-contiguous arrays shaped like ``params``, the
+    gradients are written into them and returned; without it they are new.
+    """
     w1, b1, w2, b2, w3, b3 = params
+    gw1, gb1, gw2, gb2, gw3, gb3 = (None,) * 6 if out is None else out
     n = X.shape[0]
-    z1 = X @ w1 + b1
-    h1 = np.maximum(z1, 0.0)
-    z2 = h1 @ w2 + b2
-    h2 = np.maximum(z2, 0.0)
-    z3 = (h2 @ w3 + b3)[:, 0]
+    # biases and ReLUs apply in place; h > 0 exactly where its pre-activation is
+    h1 = np.dot(X, w1)
+    h1 += b1
+    np.maximum(h1, 0.0, out=h1)
+    h2 = np.dot(h1, w2)
+    h2 += b2
+    np.maximum(h2, 0.0, out=h2)
+    z3 = np.dot(h2, w3)
+    z3 += b3
+    z3 = z3[:, 0]
     # stable BCE on logits: softplus(z) - y*z. The sums call np.add.reduce,
     # as ndarray.sum does, without its Python-level wrapper
     loss = float(np.add.reduce(np.logaddexp(0.0, z3) - y * z3) / n)
     p = _sigmoid(z3)
     dz3 = ((p - y) / n)[:, None]
-    gw3 = h2.T @ dz3
-    gb3 = np.add.reduce(dz3)
-    dh2 = dz3 @ w3.T
-    dz2 = dh2 * (z2 > 0.0)
-    gw2 = h1.T @ dz2
-    gb2 = np.add.reduce(dz2)
-    dh1 = dz2 @ w2.T
-    dz1 = dh1 * (z1 > 0.0)
-    gw1 = X.T @ dz1
-    gb1 = np.add.reduce(dz1)
+    gw3 = np.dot(h2.T, dz3, out=gw3)
+    gb3 = np.add.reduce(dz3, out=gb3)
+    dz2 = np.dot(dz3, w3.T)
+    dz2 *= h2 > 0.0
+    gw2 = np.dot(h1.T, dz2, out=gw2)
+    gb2 = np.add.reduce(dz2, out=gb2)
+    dz1 = np.dot(dz2, w2.T)
+    dz1 *= h1 > 0.0
+    gw1 = np.dot(X.T, dz1, out=gw1)
+    gb1 = np.add.reduce(dz1, out=gb1)
     return loss, (gw1, gb1, gw2, gb2, gw3, gb3)
 
 
@@ -243,46 +264,50 @@ def train_deep(
             f"training labels are all {int(classes[0])}; both classes required"
         )
     init = init_params(X.shape[1], config.hidden, config.seed)
-    # every parameter array is a view into one flat buffer, so one Adam
-    # step updates all of them; m and v share its layout
+    # every parameter array is a view into one flat buffer, so one Adam step
+    # updates all of them; loss_and_grads writes into views of g, same layout
     theta = np.concatenate(init, axis=None)
-    cuts = np.cumsum([p.size for p in init])[:-1]
-    params = tuple(
-        part.reshape(p.shape) for part, p in zip(np.split(theta, cuts), init)
-    )
     g = np.empty_like(theta)
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
-    tmp = np.empty_like(theta)
+    cuts = np.cumsum([p.size for p in init])[:-1]
+    params, grads = (
+        tuple(part.reshape(p.shape) for part, p in zip(np.split(flat, cuts), init))
+        for flat in (theta, g)
+    )
+    # m and v are the rows of one buffer; (2, 1) columns hold each row's constant
+    mv = np.zeros((2, theta.size))
+    work = np.empty_like(mv)
+    work_m, work_v = work
     b1, b2 = config.beta1, config.beta2
+    decay = np.array([[b1], [b2]])
+    gain = np.array([[1.0 - b1], [1.0 - b2]])
+    correction = np.empty((2, 1))
     shuffle_rng = derived_rng(config.seed, "mlp-shuffle")
     step = 0
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
         Xs, ys = X[order], y[order]
         for start in range(0, n, config.batch):
             stop = start + config.batch
-            loss, grads = loss_and_grads(params, Xs[start:stop], ys[start:stop])
-            if not np.isfinite(loss):
+            loss, _ = loss_and_grads(params, Xs[start:stop], ys[start:stop], grads)
+            if not math.isfinite(loss):
                 raise NonFiniteLoss(f"loss became {loss} at step {step}")
             step += 1
-            np.concatenate(grads, axis=None, out=g)
             # m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
-            m *= b1
-            np.multiply(g, 1.0 - b1, out=tmp)
-            m += tmp
-            v *= b2
-            np.multiply(g, 1.0 - b2, out=tmp)
-            tmp *= g
-            v += tmp
-            # theta -= (lr*m_hat) / (sqrt(v_hat) + eps), with g as the denominator
-            np.divide(v, 1.0 - b2**step, out=g)
-            np.sqrt(g, out=g)
-            g += config.eps
-            np.divide(m, 1.0 - b1**step, out=tmp)
-            tmp *= config.lr
-            tmp /= g
-            theta -= tmp
+            mv *= decay
+            np.multiply(g, gain, out=work)
+            work_v *= g
+            mv += work
+            # theta -= (lr*m_hat) / (sqrt(v_hat) + eps)
+            correction[:, 0] = 1.0 - b1**step, 1.0 - b2**step
+            np.divide(mv, correction, out=work)
+            np.sqrt(work_v, out=work_v)
+            work_v += config.eps
+            work_m *= config.lr
+            work_m /= work_v
+            theta -= work_m
+        # an overflowing g*g makes v inf and silently zeroes its weight's steps
+        if not np.isfinite(mv).all():
+            raise NonFiniteLoss(f"Adam moments became non-finite in epoch {epoch}")
     return MlpModel(params=params, config=config, shift=shift, norm=norm)
 
 

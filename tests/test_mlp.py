@@ -139,6 +139,56 @@ def test_loss_is_binary_cross_entropy():
     assert loss == pytest.approx(np.log(2.0), rel=1e-12)
 
 
+def reference_loss_and_grads(params, X, y):
+    """loss_and_grads as first written, with ``@`` products and new arrays."""
+    w1, b1, w2, b2, w3, b3 = params
+    n = X.shape[0]
+    z1 = X @ w1 + b1
+    h1 = np.maximum(z1, 0.0)
+    z2 = h1 @ w2 + b2
+    h2 = np.maximum(z2, 0.0)
+    z3 = (h2 @ w3 + b3)[:, 0]
+    loss = float(np.add.reduce(np.logaddexp(0.0, z3) - y * z3) / n)
+    p = _sigmoid(z3)
+    dz3 = ((p - y) / n)[:, None]
+    gw3 = h2.T @ dz3
+    gb3 = np.add.reduce(dz3)
+    dz2 = (dz3 @ w3.T) * (z2 > 0.0)
+    gw2 = h1.T @ dz2
+    gb2 = np.add.reduce(dz2)
+    dz1 = (dz2 @ w2.T) * (z1 > 0.0)
+    gw1 = X.T @ dz1
+    gb1 = np.add.reduce(dz1)
+    return loss, (gw1, gb1, gw2, gb2, gw3, gb3)
+
+
+def flat_views(params, fill):
+    """Arrays shaped like ``params``, as views into one flat buffer of ``fill``."""
+    flat = np.full(sum(p.size for p in params), fill)
+    cuts = np.cumsum([p.size for p in params])[:-1]
+    return tuple(part.reshape(p.shape) for part, p in zip(np.split(flat, cuts), params))
+
+
+@pytest.mark.parametrize("batch", [1, 17, 20, 40])
+@pytest.mark.parametrize("width", [1, 4, 12])
+@pytest.mark.parametrize("hidden", [4, 20])
+def test_loss_and_grads_match_reference_bit_for_bit(batch, width, hidden):
+    for draw in range(5):
+        rng = np.random.default_rng([batch, width, hidden, draw])
+        params = random_params(rng, n_in=width, h=hidden)
+        X = rng.standard_normal((batch, width))
+        y = rng.integers(0, 2, batch).astype(np.float64)
+        want_loss, want = reference_loss_and_grads(params, X, y)
+        out = flat_views(params, np.nan)
+        for kwargs in ({}, {"out": out}):
+            loss, got = loss_and_grads(params, X, y, **kwargs)
+            assert np.float64(loss).view(np.uint64) == np.float64(want_loss).view(np.uint64)
+            for g, w in zip(got, want, strict=True):
+                assert g.shape == w.shape
+                np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))
+        assert all(g is o for g, o in zip(got, out))
+
+
 # --- shifted pairs --------------------------------------------------------
 
 def test_shifted_pairs_zero_shift_is_identity():
@@ -264,12 +314,37 @@ def test_training_matches_per_array_reference_bit_for_bit(rows, batch, shift, se
     "bad",
     [{"batch": 0}, {"batch": -5}, {"epochs": 0},
      {"lr": 0.0}, {"lr": -1e-3}, {"lr": float("nan")}, {"lr": float("inf")},
-     {"epochs": 2.5}, {"batch": True}, {"lr": "x"}],
+     {"epochs": 2.5}, {"batch": True}, {"lr": "x"},
+     {"hidden": 0}, {"beta1": -0.5}, {"beta1": 1.0}, {"beta2": 1.5},
+     {"beta2": float("nan")}, {"eps": 0.0}, {"eps": -1e-8}, {"eps": float("nan")},
+     {"eps": float("inf")}],
 )
 def test_training_rejects_bad_config(bad):
     X, y = toy_data(0)
-    with pytest.raises(InvalidConfig):
+    (name,) = bad
+    with pytest.raises(InvalidConfig, match=rf"^train\.{name} must be "):
         train_deep(X, y, TrainConfig(**bad))
+
+
+def test_training_stops_on_a_nan_input_row():
+    X, y = toy_data(0)
+    X[37, 1] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(
+        NonFiniteLoss, match="loss became nan at step"
+    ):
+        train_deep(X, y, TrainConfig(seed=0, epochs=3))
+
+
+def test_training_stops_when_adam_moments_overflow():
+    # (1 - beta2) * g * g overflows to inf, which would zero the steps of
+    # the weights it touches while the loss stays finite
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((200, 3))
+    y = (X[:, 0] > 0.0).astype(np.float64)
+    with np.errstate(over="ignore"), pytest.raises(
+        NonFiniteLoss, match="Adam moments became non-finite in epoch 0"
+    ):
+        train_deep(X * 1e200, y, TrainConfig(seed=0, epochs=3))
 
 
 # --- persistence ----------------------------------------------------------
