@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyIntersection, InvalidConfig, LengthMismatch, NonUniformSpacing, ShapeMismatch
+from .errors import (EmptyIntersection, InvalidConfig, LengthMismatch, NonUniformSpacing,
+                     ParseError, ShapeMismatch)
 
 # what each scalar field annotation takes, and how a message names it
 _SCALARS = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
@@ -294,3 +296,15 @@ def align(frame: MetricFrame, labels: LabelSeries) -> tuple[MetricFrame, LabelSe
 def dumps_json(obj: dict) -> str:
     """Canonical JSON encoding: sorted keys, no NaN, repr-exact floats."""
     return json.dumps(obj, sort_keys=True, allow_nan=False, indent=2)
+
+
+def load_json(path) -> dict:
+    """The JSON object in the file at ``path``; a ParseError naming the path
+    if the file holds none."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    return doc

@@ -40,18 +40,18 @@ class DetectorSpec:
     gamma: Optional[float] = None  # defaults to the variance-scaled rule
 
     def __post_init__(self):
-        check_fields(self)
+        check_fields(self, where=lambda name: f"detect.{name}")
         if self.kind not in KINDS:
             raise InvalidConfig(f"unknown detector kind {self.kind!r}")
         if not 0.0 < self.anomaly_fraction < 1.0:
-            raise InvalidConfig("anomaly_fraction must lie in (0, 1)")
+            raise InvalidConfig("detect.anomaly_fraction must lie in (0, 1)")
         for name in ("n_trees", "subsample", "knn_k", "lof_k"):
             if getattr(self, name) < 1:
-                raise InvalidConfig(f"{name} must be >= 1, got {getattr(self, name)!r}")
+                raise InvalidConfig(f"detect.{name} must be >= 1, got {getattr(self, name)!r}")
         if self.nu is not None and not 0.0 < self.nu < 1.0:
-            raise InvalidConfig(f"nu must lie in (0, 1), got {self.nu!r}")
+            raise InvalidConfig(f"detect.nu must lie in (0, 1), got {self.nu!r}")
         if self.gamma is not None and not 0.0 < self.gamma < math.inf:
-            raise InvalidConfig(f"gamma must be finite and > 0, got {self.gamma!r}")
+            raise InvalidConfig(f"detect.gamma must be finite and > 0, got {self.gamma!r}")
 
 
 @dataclass(frozen=True, eq=False)

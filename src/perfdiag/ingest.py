@@ -21,6 +21,7 @@ from .errors import (
     ParseError,
     RowCountMismatch,
 )
+from .rca import INDICATOR
 from .tables import Table
 
 
@@ -62,11 +63,17 @@ def load_csv(path, label_path=None) -> tuple[MetricFrame, Optional[LabelSeries]]
 
     The label file has header `timestamp,label` with 0/1 values. Sampling
     interval is inferred from the first timestamp gap and must be uniform.
+    No metric may take the root-cause graph's node name `indicator`.
     """
     table = Table(path)
     names = table.header[1:]
     if table.header[:1] != (TIMESTAMP[0],) or not names:
         raise table.error(table.header_line, "expected header 'timestamp,<name>,...'")
+    if INDICATOR in names:
+        raise ParseError(
+            f"{table.path}:{table.header_line} col {table.header.index(INDICATOR) + 1}: "
+            f"metric name {INDICATOR!r} is reserved for the anomaly indicator node"
+        )
     ts, *columns = table.columns((int,) + (float,) * len(names))
     frame = MetricFrame(
         timestamps=ts,
@@ -146,43 +153,46 @@ class GenConfig:
     root_causes: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
-        check_fields(self)
-        if self.n_metrics < 1 or self.n_samples < 1:
-            raise InvalidConfig("need at least one metric and one sample")
-        if self.interval < 1:
-            raise InvalidConfig(f"interval must be >= 1, got {self.interval}")
-        if not 0.0 <= self.edge_prob <= 1.0:
-            raise InvalidConfig("edge_prob must lie in [0, 1]")
-        if self.noise_std <= 0:
-            raise InvalidConfig("noise_std must be positive")
-        if self.n_windows < 0 or self.window_len < 0:
-            raise InvalidConfig("window counts must be nonnegative")
+        where = "data.generate."
+        check_fields(self, where=lambda name: where + name)
+        for name, ok, rule in (
+            ("n_metrics", self.n_metrics >= 1, ">= 1"),
+            ("n_samples", self.n_samples >= 1, ">= 1"),
+            ("interval", self.interval >= 1, ">= 1"),
+            ("edge_prob", 0.0 <= self.edge_prob <= 1.0, "in [0, 1]"),
+            ("noise_std", self.noise_std > 0, "> 0"),
+            ("n_windows", self.n_windows >= 0, ">= 0"),
+            ("window_len", self.window_len >= 0, ">= 0"),
+        ):
+            if not ok:
+                raise InvalidConfig(f"{where}{name} must be {rule}, got {getattr(self, name)!r}")
         if self.n_windows > 0:
             if self.window_len < 1:
-                raise InvalidConfig("window_len must be >= 1 when windows requested")
-            period = self.n_samples // self.n_windows
-            if period < self.window_len:
+                raise InvalidConfig(f"{where}window_len must be >= 1 when windows are requested")
+            if self.n_samples // self.n_windows < self.window_len:
                 raise InvalidConfig(
-                    f"{self.n_samples} samples cannot hold {self.n_windows} "
-                    f"windows of length {self.window_len}"
+                    f"{where}n_samples: {self.n_samples} samples cannot hold "
+                    f"{self.n_windows} windows of length {self.window_len}"
                 )
             if self.n_root_causes < 1 and not self.root_causes:
-                raise InvalidConfig("windows requested but no root causes")
+                raise InvalidConfig(f"{where}n_root_causes: windows requested but no root causes")
         names = _metric_names(self.n_metrics)
         for name in ("edges", "root_causes"):
             if not isinstance(getattr(self, name), (list, tuple, type(None))):
-                raise InvalidConfig(f"{name} must be a list, got {getattr(self, name)!r}")
+                raise InvalidConfig(f"{where}{name} must be a list, got {getattr(self, name)!r}")
         for edge in self.edges or ():
             if not (isinstance(edge, (list, tuple)) and len(edge) == 2):
-                raise InvalidConfig(f"each edge must be a [parent, child] pair, got {edge!r}")
+                raise InvalidConfig(f"{where}edges: each edge must be a [parent, child] pair, got {edge!r}")
             a, b = edge
             if a not in names or b not in names:
-                raise InvalidConfig(f"edge ({a}, {b}) references unknown metric")
+                raise InvalidConfig(f"{where}edges: edge ({a}, {b}) references unknown metric")
             if names.index(a) >= names.index(b):
-                raise InvalidConfig(f"edge ({a}, {b}) violates index order; list edges parent-first")
+                raise InvalidConfig(
+                    f"{where}edges: edge ({a}, {b}) violates index order; list edges parent-first"
+                )
         unknown = [r for r in self.root_causes or () if r not in names]
         if unknown:
-            raise InvalidConfig(f"unknown root-cause metrics: {unknown}")
+            raise InvalidConfig(f"{where}root_causes: unknown root-cause metrics: {unknown}")
 
 
 def _metric_names(n: int) -> tuple[str, ...]:

@@ -16,18 +16,17 @@ its minibatches are contiguous slices.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .core import DiagnosisReport, ScoreMatrix, check_fields
+from .core import DiagnosisReport, ScoreMatrix, check_fields, load_json
 from .errors import (
     InvalidConfig,
     NonFiniteLoss,
+    ParseError,
     ShapeMismatch,
     SingleClassTraining,
     TooFewSamples,
@@ -137,30 +136,35 @@ class MlpModel:
 
     @classmethod
     def load(cls, path) -> "MlpModel":
-        doc = json.loads(Path(path).read_text())
+        doc = load_json(path)
         if doc.get("schema_version") != SCHEMA_VERSION:
             raise ShapeMismatch(
                 f"unsupported model schema_version {doc.get('schema_version')!r}"
             )
-        w = doc["weights"]
-        params = tuple(
-            np.asarray(w[k], dtype=np.float64)
-            for k in ("W1", "b1", "W2", "b2", "W3", "b3")
-        )
-        norm = None
-        if doc.get("norm"):
-            norm = NormStats(
-                learner_names=tuple(doc["norm"]["learner_names"]),
-                means=tuple(doc["norm"]["means"]),
-                stds=tuple(doc["norm"]["stds"]),
+        try:
+            w = doc["weights"]
+            params = tuple(
+                np.asarray(w[k], dtype=np.float64)
+                for k in ("W1", "b1", "W2", "b2", "W3", "b3")
             )
-        return cls(
-            params=params,
-            config=TrainConfig(**doc["config"]),
-            shift=int(doc["shift"]),
-            threshold=float(doc["threshold"]),
-            norm=norm,
-        )
+            norm = None
+            if doc.get("norm"):
+                norm = NormStats(
+                    learner_names=tuple(doc["norm"]["learner_names"]),
+                    means=tuple(doc["norm"]["means"]),
+                    stds=tuple(doc["norm"]["stds"]),
+                )
+            return cls(
+                params=params,
+                config=TrainConfig(**doc["config"]),
+                shift=int(doc["shift"]),
+                threshold=float(doc["threshold"]),
+                norm=norm,
+            )
+        except KeyError as exc:
+            raise ParseError(f"{path}: missing key {exc}") from exc
+        except (IndexError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: malformed model: {exc}") from exc
 
 
 def init_params(n_inputs: int, hidden: int, seed: int) -> Params:

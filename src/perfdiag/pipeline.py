@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -199,11 +199,12 @@ def _check_data(data) -> None:
         if key != "generate" and not isinstance(path, str):
             raise InvalidConfig(f"data.{key} must be a path string, got {path!r}")
     if "generate" in data:
-        _check_keys(data["generate"], "data.generate", {f.name for f in fields(GenConfig)})
-        try:
-            GenConfig(**data["generate"])
-        except (TypeError, InvalidConfig) as exc:
-            raise InvalidConfig(f"data.generate: {exc}") from exc
+        gen = data["generate"]
+        _check_keys(gen, "data.generate", {f.name for f in fields(GenConfig)})
+        for f in fields(GenConfig):
+            if f.default is MISSING and f.name not in gen:
+                raise InvalidConfig(f"data.generate.{f.name} is required")
+        GenConfig(**gen)
 
 
 def load_config(path, overrides: Optional[dict] = None) -> PipelineConfig:

@@ -3,8 +3,11 @@
 pc_build starts from a complete skeleton, removes edges level by level via
 conditional-independence tests, orients v-structures from the recorded
 separating sets, then propagates orientations with the Meek rules. Edges
-whose direction stays unresolved remain undirected. Every iteration runs
-in sorted node-name order so the output is deterministic.
+whose direction stays unresolved remain undirected. Both phases number the
+nodes by their rank in name order, so every iteration runs in name order
+and the output is deterministic. The skeleton is a boolean adjacency matrix
+with separating sets as tuples of ranks, and orientation keeps the
+undirected edges and the arrows as two boolean matrices.
 
 The skeleton decides all level-0 tests in one batch. At each deeper level
 it decides the first conditioning sets of every edge up front, in a few
@@ -18,19 +21,17 @@ sets are those of testing one set at a time.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
+from graphlib import CycleError, TopologicalSorter
 from math import comb
-from pathlib import Path
 from statistics import NormalDist
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..core import standardize
-from ..errors import InvalidConfig, SingularSubmatrixWarning
+from ..core import load_json, standardize
+from ..errors import InvalidConfig, ParseError, SingularSubmatrixWarning
 
 # a decided block stacks at most this many bytes of correlation submatrices
 _BLOCK_BYTES = 1 << 19
@@ -75,34 +76,19 @@ class CausalGraph:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "directed", directed)
         object.__setattr__(self, "undirected", undirected)
-        if self._has_directed_cycle():
-            raise InvalidConfig("directed part contains a cycle")
         preds: dict[str, set[str]] = {n: set() for n in nodes}
         for u, v in directed:
             preds[v].add(u)
+        try:
+            TopologicalSorter(preds).prepare()
+        except CycleError:
+            raise InvalidConfig("directed part contains a cycle") from None
         for a, b in undirected:
             preds[a].add(b)
             preds[b].add(a)
         object.__setattr__(
             self, "_preds", {n: tuple(sorted(p)) for n, p in preds.items()}
         )
-
-    def _has_directed_cycle(self) -> bool:
-        in_deg = {n: 0 for n in self.nodes}
-        children: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for u, v in self.directed:
-            in_deg[v] += 1
-            children[u].append(v)
-        queue = sorted(n for n, deg in in_deg.items() if deg == 0)
-        seen = 0
-        while queue:
-            n = queue.pop()
-            seen += 1
-            for c in children[n]:
-                in_deg[c] -= 1
-                if in_deg[c] == 0:
-                    queue.append(c)
-        return seen != len(self.nodes)
 
     def predecessors(self, node: str) -> tuple[str, ...]:
         """Directed parents plus undirected neighbors, sorted."""
@@ -116,16 +102,31 @@ class CausalGraph:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "CausalGraph":
+    def from_dict(cls, d: dict, source: str = "graph") -> "CausalGraph":
+        """The graph of a `to_dict` document. A missing key, or one that is
+        not a list of names or of name pairs, raises a ParseError naming
+        ``source``."""
+        def pair(e):
+            return isinstance(e, list) and len(e) == 2 and all(isinstance(s, str) for s in e)
+
+        for key, ok, what in (
+            ("nodes", lambda n: isinstance(n, str), "names"),
+            ("directed", pair, "[from, to] pairs of names"),
+            ("undirected", pair, "[a, b] pairs of names"),
+        ):
+            if key not in d:
+                raise ParseError(f"{source}: missing key {key!r}")
+            if not isinstance(d[key], list) or not all(map(ok, d[key])):
+                raise ParseError(f"{source}: {key!r} must be a list of {what}")
         return cls(
             nodes=tuple(d["nodes"]),
-            directed=tuple((u, v) for u, v in d["directed"]),
-            undirected=tuple((a, b) for a, b in d["undirected"]),
+            directed=tuple(map(tuple, d["directed"])),
+            undirected=tuple(map(tuple, d["undirected"])),
         )
 
     @classmethod
     def load(cls, path) -> "CausalGraph":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(load_json(path), source=str(path))
 
     def edge_list_text(self) -> str:
         lines = [f"{u} -> {v}" for u, v in self.directed]
@@ -153,18 +154,12 @@ def partial_correlation(corr: np.ndarray, i: int, j: int, S: Sequence[int]) -> f
             SingularSubmatrixWarning,
         )
         prec = np.linalg.inv(sub + 1e-8 * np.eye(sub.shape[0]))
-    return float(_partial_rho(prec[None])[0])
-
-
-def _partial_rho(prec: np.ndarray) -> np.ndarray:
-    """rho(0, 1 | rest) for each precision matrix of a (K, m, m) stack."""
-    denom = prec[:, 0, 0] * prec[:, 1, 1]
-    nonpositive = denom <= 0.0
-    # a near-singular matrix yields inf or NaN entries; a batch may hold
-    # such sets past an edge's first independent one, so they must not warn
+    denom = prec[0, 0] * prec[1, 1]
+    if denom <= 0.0:
+        return 0.0
+    # a near-singular matrix yields inf or NaN entries
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        rho = -prec[:, 0, 1] / np.sqrt(np.where(nonpositive, 1.0, denom))
-    return np.clip(np.where(nonpositive, 0.0, rho), -1.0, 1.0)
+        return float(np.clip(-prec[0, 1] / np.sqrt(denom), -1.0, 1.0))
 
 
 def _independent(rho: np.ndarray, dof: int, q: float) -> np.ndarray:
@@ -177,13 +172,6 @@ def _independent(rho: np.ndarray, dof: int, q: float) -> np.ndarray:
     r = np.where(inside, rho, 0.0)
     z = 0.5 * np.log((1.0 + r) / (1.0 - r))
     return inside & (np.sqrt(dof) * np.abs(z) <= q)
-
-
-def _ci_from_corr(
-    corr: np.ndarray, d: int, i: int, j: int, S: Sequence[int], q: float
-) -> bool:
-    rho = partial_correlation(corr, i, j, S)
-    return bool(_independent(np.array([rho]), d - len(S) - 3, q)[0])
 
 
 def _schur_rho(corr: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,15 +256,16 @@ def _z_quantile(alpha: float) -> float:
 
 def _skeleton(
     corr: np.ndarray, d: int, names: tuple[str, ...], alpha: float
-) -> tuple[dict[str, set[str]], dict[tuple[str, str], tuple[str, ...]]]:
-    """PC skeleton: adjacency sets, and separating sets by sorted name pair.
+) -> tuple[np.ndarray, dict[tuple[int, int], tuple[int, ...]]]:
+    """PC skeleton over the nodes in name-rank order: the boolean adjacency
+    matrix, and the separating set of each removed edge (a, b), a < b, as a
+    tuple of ranks.
 
     At level l, edge (a, b) falls at the first size-l subset of adj(a) - b,
-    in combination order of the sorted names, found independent; the
-    removal takes effect immediately.
+    in combination order of the ranks, found independent; the removal takes
+    effect immediately.
 
-    Nodes are handled by their rank in name order, so skeleton order is
-    index order. Level 0 is one decision over all pairs. At a deeper level
+    Level 0 is one decision over all pairs. At a deeper level
     the first _PREFIX sets of every pair's level-start candidates are
     decided up front. Walking the pairs in order, a pair's valid sets are
     those holding no node removed since the level began: in combination
@@ -288,21 +277,22 @@ def _skeleton(
     q = _z_quantile(alpha)
     n = len(names)
     order = sorted(range(n), key=names.__getitem__)
-    ranked = [names[k] for k in order]
     corr_r = corr[np.ix_(order, order)]
     adj = ~np.eye(n, dtype=bool)
-    sepset: dict[tuple[str, str], tuple[str, ...]] = {}
+    sepset: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def separated(a, b, subsets, codes) -> bool:
-        """Remove edge (a, b) at the first of ``subsets`` found independent."""
+        """Remove edge (a, b) at the first of ``subsets`` found independent;
+        a flagged set is decided alone on the input-order ``corr``."""
         for r in np.flatnonzero(codes):
-            S = [int(s) for s in subsets[r]]
-            if codes[r] == _INDEPENDENT or _ci_from_corr(
-                corr, d, order[a], order[b], [order[s] for s in S], q
-            ):
-                adj[a, b] = adj[b, a] = False
-                sepset[ranked[min(a, b)], ranked[max(a, b)]] = tuple(ranked[s] for s in S)
-                return True
+            S = tuple(int(s) for s in subsets[r])
+            if codes[r] == _FLAGGED:
+                rho = partial_correlation(corr, order[a], order[b], [order[s] for s in S])
+                if not _independent(rho, d - len(S) - 3, q):
+                    continue
+            adj[a, b] = adj[b, a] = False
+            sepset[int(min(a, b)), int(max(a, b))] = S
+            return True
         return False
 
     level = 0
@@ -313,8 +303,8 @@ def _skeleton(
             codes = np.zeros((n, n), dtype=np.int8)
             codes[i, j] = _decide(corr_r, np.stack([i, j], axis=1), dof, q)
             codes |= codes.T
-            for a, b in zip(*np.nonzero(np.triu(codes == _INDEPENDENT))):
-                sepset[ranked[a], ranked[b]] = ()
+            for a, b in np.argwhere(np.triu(codes == _INDEPENDENT)).tolist():
+                sepset[a, b] = ()
             adj &= codes != _INDEPENDENT
             # flagged pairs, one at a time in skeleton order
             for a, b in zip(*np.nonzero(codes == _FLAGGED)):
@@ -323,8 +313,7 @@ def _skeleton(
         else:
             _level(corr_r, adj, level, dof, q, separated)
         level += 1
-    adjacency = {ranked[a]: {ranked[b] for b in np.flatnonzero(adj[a])} for a in range(n)}
-    return adjacency, sepset
+    return adj, sepset
 
 
 def _level(
@@ -377,130 +366,88 @@ def _level(
                 start += size
 
 
-class _Pdag:
-    """Mutable partially directed graph used during orientation."""
+def _orient(adj: np.ndarray, sepset: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Orient the skeleton ``adj``: the undirected edges ``und`` (symmetric,
+    a -- b) and the arrows (``arrow[u, v]`` is u -> v), both in rank order.
 
-    def __init__(self, nodes: Sequence[str], und_pairs: Iterable[tuple[str, str]]):
-        self.nodes = tuple(nodes)
-        self.und: set[tuple[str, str]] = {tuple(sorted(p)) for p in und_pairs}
-        self.dir: set[tuple[str, str]] = set()
-        self.children: dict[str, set[str]] = {n: set() for n in self.nodes}
+    V-structures i -> k <- j come first, for nonadjacent i < j whose
+    separating set excludes k; an edge oriented both ways reverts to
+    undirected and stays so. The Meek rules then run to a fixpoint, each
+    pass visiting every (a, b) with a < b, then every (b, a). An arrow that
+    would close a directed cycle is never added.
+    """
+    und, arrow = adj.copy(), np.zeros_like(adj)
 
-    def has_und(self, a: str, b: str) -> bool:
-        return tuple(sorted((a, b))) in self.und
-
-    def has_dir(self, u: str, v: str) -> bool:
-        return (u, v) in self.dir
-
-    def adjacent(self, a: str, b: str) -> bool:
-        return self.has_und(a, b) or (a, b) in self.dir or (b, a) in self.dir
-
-    def creates_cycle(self, u: str, v: str) -> bool:
-        """Would directed edge u -> v close a cycle (path v => u)?"""
-        stack = [v]
-        seen = {v}
-        while stack:
-            x = stack.pop()
-            if x == u:
-                return True
-            for b in self.children[x] - seen:
-                seen.add(b)
-                stack.append(b)
-        return False
-
-    def orient(self, u: str, v: str) -> bool:
-        """Turn undirected u -- v into u -> v; skip if it would close a cycle."""
-        if not self.has_und(u, v) or self.creates_cycle(u, v):
+    def orient(u: int, v: int) -> bool:
+        # spread from v along the arrows: u reached means a path v => u
+        seen = frontier = arrow[v]
+        while frontier.any() and not seen[u]:
+            frontier = arrow[frontier].any(axis=0) & ~seen
+            seen = seen | frontier
+        if seen[u]:
             return False
-        self.und.discard(tuple(sorted((u, v))))
-        self.dir.add((u, v))
-        self.children[u].add(v)
+        und[u, v] = und[v, u] = False
+        arrow[u, v] = True
         return True
 
-    def unorient(self, a: str, b: str) -> None:
-        self.dir.discard((a, b))
-        self.dir.discard((b, a))
-        self.children[a].discard(b)
-        self.children[b].discard(a)
-        self.und.add(tuple(sorted((a, b))))
+    conflicted = np.zeros_like(adj)
+    # nonadjacent pairs with a common neighbour
+    for i, j in np.argwhere(np.triu((adj @ adj) & ~adj, 1)).tolist():
+        for k in np.flatnonzero(adj[i] & adj[j]).tolist():
+            if k in sepset[i, j]:
+                continue
+            for parent in (i, j):
+                if conflicted[parent, k]:
+                    continue
+                if arrow[k, parent]:
+                    arrow[k, parent] = False
+                    und[k, parent] = und[parent, k] = True
+                    conflicted[k, parent] = conflicted[parent, k] = True
+                elif not arrow[parent, k]:
+                    orient(parent, k)
+
+    changed = True
+    while changed:
+        changed = False
+        # und only shrinks, so the pairs undirected at the start of a pass
+        # hold every pair that is undirected when it is visited
+        i, j = np.nonzero(np.triu(und))
+        for a, b in zip(np.concatenate([i, j]).tolist(), np.concatenate([j, i]).tolist()):
+            if und[a, b] and _meek_applies(und, arrow, a, b):
+                changed |= orient(a, b)
+    return und, arrow
+
+
+def _meek_applies(und: np.ndarray, arrow: np.ndarray, a: int, b: int) -> bool:
+    """Whether a Meek rule orients the undirected edge a -- b as a -> b."""
+    into_b = arrow[:, b]
+    apart_b = ~(und[b] | arrow[b] | into_b)  # not adjacent to b
+    # R1: c -> a, c and b nonadjacent
+    if (arrow[:, a] & apart_b).any():
+        return True
+    # R2: a -> c -> b
+    if (arrow[a] & into_b).any():
+        return True
+    # R3: a -- c -> b and a -- e -> b, c and e nonadjacent
+    c = np.flatnonzero(und[a] & into_b)
+    sub = np.ix_(c, c)
+    if not (und[sub] | arrow[sub] | arrow[sub].T | np.eye(len(c), dtype=bool)).all():
+        return True
+    # R4: a -- c -> e -> b with a -- e, c and b nonadjacent
+    return bool(arrow[np.ix_(und[a] & apart_b, und[a] & into_b)].any())
 
 
 def pc_build(values: np.ndarray, names: Sequence[str], alpha: float = 0.05) -> CausalGraph:
-    """Run the PC algorithm on the columns of ``values``.
-
-    Skeleton phase removes edge (i, j) at conditioning level l on the first
-    size-l subset of adj(i) minus j found independent, recording it as the
-    separating set (removal takes effect immediately). Each level's tests
-    run in batches, some decided before that level's earlier removals; a
-    set counts only while it holds no removed node, so the graph is that
-    of testing one subset at a time. V-structures
-    i -> k <- j are oriented for nonadjacent pairs whose separating set
-    excludes k; conflicting orientations revert the edge to undirected.
-    Meek rules then propagate directions until nothing changes.
-    """
+    """Run the PC algorithm on the columns of ``values``: the skeleton by
+    `_skeleton`, oriented by `_orient`, with the ranks named again."""
     names = tuple(names)
     if values.ndim != 2 or values.shape[1] != len(names):
         raise InvalidConfig("one name per data column required")
     adj, sepset = _skeleton(_correlation_matrix(values), values.shape[0], names, alpha)
-
-    g = _Pdag(names, ((a, b) for a in names for b in adj[a] if a < b))
-
-    # v-structures: i -> k <- j for nonadjacent (i, j) with k outside sepset
-    conflicted: set[tuple[str, str]] = set()
-    for i, j in combinations(sorted(names), 2):
-        if j in adj[i]:
-            continue
-        for k in sorted(adj[i] & adj[j]):
-            if k in sepset.get((i, j) if i < j else (j, i), ()):
-                continue
-            for parent in (i, j):
-                pair = tuple(sorted((parent, k)))
-                if pair in conflicted:
-                    continue
-                if g.has_dir(k, parent):
-                    g.unorient(k, parent)
-                    conflicted.add(pair)
-                elif not g.has_dir(parent, k):
-                    g.orient(parent, k)
-
-    _meek(g)
-    return CausalGraph(nodes=names, directed=tuple(g.dir), undirected=tuple(g.und))
-
-
-def _meek(g: _Pdag) -> None:
-    """Apply the four orientation-propagation rules to fixpoint."""
-    names = sorted(g.nodes)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in [(x, y) for x, y in combinations(names, 2)] + [
-            (y, x) for x, y in combinations(names, 2)
-        ]:
-            if not g.has_und(a, b):
-                continue
-            if _meek_applies(g, a, b, names):
-                changed |= g.orient(a, b)
-
-
-def _meek_applies(g: _Pdag, a: str, b: str, names: list[str]) -> bool:
-    # R1: c -> a, a -- b, c and b nonadjacent => a -> b
-    for c in names:
-        if g.has_dir(c, a) and not g.adjacent(c, b):
-            return True
-    # R2: a -> c -> b with a -- b => a -> b
-    for c in names:
-        if g.has_dir(a, c) and g.has_dir(c, b):
-            return True
-    # R3: a -- c, a -- d, c -> b, d -> b, c and d nonadjacent => a -> b
-    into_b = [c for c in names if g.has_dir(c, b) and g.has_und(a, c)]
-    for c, e in combinations(into_b, 2):
-        if not g.adjacent(c, e):
-            return True
-    # R4: a -- c, a -- d, c -> d -> b, c and b nonadjacent => a -> b
-    for c in names:
-        if not (g.has_und(a, c) and not g.adjacent(c, b)):
-            continue
-        for e in names:
-            if g.has_dir(c, e) and g.has_dir(e, b) and g.has_und(a, e):
-                return True
-    return False
+    und, arrow = _orient(adj, sepset)
+    ranked = sorted(names)
+    return CausalGraph(
+        nodes=names,
+        directed=tuple((ranked[u], ranked[v]) for u, v in np.argwhere(arrow).tolist()),
+        undirected=tuple((ranked[a], ranked[b]) for a, b in np.argwhere(np.triu(und)).tolist()),
+    )

@@ -1,5 +1,7 @@
 """The weakly supervised MLP scorer: training, prediction, persistence."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from perfdiag.ensemble import assemble
 from perfdiag.errors import (
     InvalidConfig,
     NonFiniteLoss,
+    ParseError,
     ShapeMismatch,
     SingleClassTraining,
     TooFewSamples,
@@ -373,6 +376,27 @@ def test_load_rejects_unknown_schema(tmp_path):
     path.write_text(dumps_json({**model.to_dict(), "schema_version": 99}))
     with pytest.raises(ShapeMismatch):
         MlpModel.load(path)
+
+
+def malformed_models(doc):
+    """(id, file text) of model.json files broken one way each."""
+    yield "not json", "{"
+    yield "not an object", "[]"
+    yield "no weights", dumps_json({k: v for k, v in doc.items() if k != "weights"})
+    yield "no b3", dumps_json({**doc, "weights": {k: v for k, v in doc["weights"].items() if k != "b3"}})
+    yield "weights not an object", dumps_json({**doc, "weights": [1, 2]})
+    yield "ragged W1", dumps_json({**doc, "weights": {**doc["weights"], "W1": [[1.0], [1.0, 2.0]]}})
+    yield "shift not a number", dumps_json({**doc, "shift": "x"})
+
+
+def test_load_rejects_malformed_models(tmp_path):
+    X, y = toy_data(3)
+    doc = train_deep(X, y, TrainConfig(seed=0, epochs=2)).to_dict()
+    for case, text in malformed_models(doc):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: "):
+            MlpModel.load(path)
 
 
 # --- containers / stats ---------------------------------------------------

@@ -88,9 +88,9 @@ def test_config_rejects_bad_train_values(tmp_path, train):
      ("rca", {"length": "2"}, "rca.length"),
      ("select", {"n_fixed": 0}, "select.n_fixed"),
      ("select", {"n_fixed": "2"}, "select.n_fixed"),
-     ("detect", {"knn_k": 0}, "knn_k"),
-     ("detect", {"knn_k": "5"}, "knn_k"),
-     ("detect", {"n_trees": 2.5}, "n_trees"),
+     ("detect", {"knn_k": 0}, "detect.knn_k must be >= 1"),
+     ("detect", {"knn_k": "5"}, "detect.knn_k"),
+     ("detect", {"n_trees": 2.5}, "detect.n_trees"),
      # an int setting takes an int, not a float or a bool; a float setting
      # takes a number, not a string; a str setting takes a string
      ("train", {"epochs": 2.5}, "train.epochs"),
@@ -100,8 +100,8 @@ def test_config_rejects_bad_train_values(tmp_path, train):
      ("rca", {"walks": "5"}, "rca.walks"),
      ("select", {"r_min": "0.5"}, "select.r_min"),
      (None, {"out": 5}, "out"),
-     ("detect", {"nu": "0.1"}, "nu"),
-     ("detect", {"gamma": "x"}, "gamma")],
+     ("detect", {"nu": "0.1"}, "detect.nu"),
+     ("detect", {"gamma": "x"}, "detect.gamma")],
 )
 def test_config_rejects_bad_values_at_load(tmp_path, section, values, where):
     # checked before any stage runs, so nothing is written to the out dir
@@ -124,8 +124,8 @@ def wrong_types():
     learner = {f.name: f.type for f in fields(DetectorSpec)}
     keys = [(tuple(filter(None, loc)), ".".join(filter(None, loc)), settings[name])
             for name, loc in SETTINGS.items()]
-    keys += [(("detect", k), k, learner[k]) for k in sorted(DETECTOR_SETTINGS)]
-    keys += [(("data", "generate", f.name), f"data.generate: {f.name}", f.type)
+    keys += [(("detect", k), f"detect.{k}", learner[k]) for k in sorted(DETECTOR_SETTINGS)]
+    keys += [(("data", "generate", f.name), f"data.generate.{f.name}", f.type)
              for f in fields(GenConfig)]
     for path, where, annotation in keys:
         kind = annotation.removeprefix("Optional[").removesuffix("]")
@@ -161,18 +161,18 @@ def test_every_scalar_key_rejects_a_wrong_type_at_load(tmp_path, path, where, va
      ({"csv": 0}, "data.csv"),
      ({"csv": "a.csv", "labels": 3}, "data.labels"),
      ({"generate": {**GEN, "n_metric": 6}}, "n_metric"),
-     ({"generate": {"n_samples": 400}}, "n_metrics"),
+     ({"generate": {"n_samples": 400}}, "data.generate.n_metrics is required"),
      ({"generate": {**GEN, "n_metrics": 0}}, "metric"),
      # a generator count is an int, not a float or a bool
-     ({"generate": {**GEN, "n_metrics": 2.5}}, "data.generate: n_metrics must be an integer"),
-     ({"generate": {**GEN, "n_metrics": True}}, "data.generate: n_metrics must be an integer"),
+     ({"generate": {**GEN, "n_metrics": 2.5}}, "data.generate.n_metrics must be an integer"),
+     ({"generate": {**GEN, "n_metrics": True}}, "data.generate.n_metrics must be an integer"),
      # the generator's edge and root-cause checks run at load too
-     ({"generate": {**GEN, "edges": [["m1", "m0"]]}}, r"data.generate: edge \(m1, m0\) violates"),
-     ({"generate": {**GEN, "edges": [["m0", "m9"]]}}, r"data.generate: edge \(m0, m9\) references"),
-     ({"generate": {**GEN, "root_causes": ["m9"]}}, "data.generate: unknown root-cause"),
-     ({"generate": {**GEN, "edges": [["m0"]]}}, "data.generate: each edge must be"),
-     ({"generate": {**GEN, "interval": 0}}, "data.generate: interval must be"),
-     ({"generate": {**GEN, "root_causes": "m1"}}, "data.generate: root_causes must be")],
+     ({"generate": {**GEN, "edges": [["m1", "m0"]]}}, r"data.generate.edges: edge \(m1, m0\) violates"),
+     ({"generate": {**GEN, "edges": [["m0", "m9"]]}}, r"data.generate.edges: edge \(m0, m9\) references"),
+     ({"generate": {**GEN, "root_causes": ["m9"]}}, "data.generate.root_causes: unknown root-cause"),
+     ({"generate": {**GEN, "edges": [["m0"]]}}, "data.generate.edges: each edge must be"),
+     ({"generate": {**GEN, "interval": 0}}, "data.generate.interval must be"),
+     ({"generate": {**GEN, "root_causes": "m1"}}, "data.generate.root_causes must be")],
 )
 def test_config_checks_the_data_section_at_load(data, where):
     with pytest.raises(InvalidConfig, match=where):
@@ -595,6 +595,28 @@ def test_cli_rca_on_explicit_graph(tmp_path, capsys):
     assert {r["node"] for r in rows[:4]} == {"n6", "n14", "n17", "n18"}
     assert sum(int(r["count"]) for r in rows) == 500
     capsys.readouterr()
+
+
+def test_cli_rca_rejects_a_malformed_graph(tmp_path, capsys):
+    gpath = tmp_path / "graph.json"
+    gpath.write_text('{"nodes": ["indicator", "a"], "directed": [["a", "indicator"]]}')
+    cfg = write_config(tmp_path, {"data": {"generate": GEN}})
+    argv = ["rca", "--config", str(cfg), "--graph", str(gpath), "--out", str(tmp_path / "o")]
+    err = stage_error(argv, capsys)
+    assert err["stage"] == "rca" and err["type"] == "ParseError"
+    assert err["message"] == f"{gpath}: missing key 'undirected'"
+
+
+def test_cli_rejects_a_metric_named_indicator(tmp_path, capsys):
+    # "indicator" is the anomaly indicator's node in the causal graph
+    data = csv_inputs(tmp_path, "none")
+    path = Path(data["csv"])
+    header, rows = path.read_text().split("\n", 1)
+    path.write_text(header.replace("m2", "indicator") + "\n" + rows)
+    cfg = write_config(tmp_path, {"data": data, "ensemble": "avg", "select": {"method": "none"}})
+    err = stage_error(["run", "--config", str(cfg), "--out", str(tmp_path / "o")], capsys)
+    assert err["stage"] == "ingest" and err["type"] == "ParseError"
+    assert err["message"].startswith(f"{path}:1 col 4: metric name 'indicator' is reserved")
 
 
 def test_cli_eval_robustness(tmp_path, capsys):
