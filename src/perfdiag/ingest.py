@@ -63,27 +63,39 @@ def load_csv(path, label_path=None) -> tuple[MetricFrame, Optional[LabelSeries]]
 
     The label file has header `timestamp,label` with 0/1 values. Sampling
     interval is inferred from the first timestamp gap and must be uniform.
-    No metric may take the root-cause graph's node name `indicator`.
+    Metric names must be unique, and none may take the root-cause graph's
+    node name `indicator`. Every cell must be finite.
     """
     table = Table(path)
     names = table.header[1:]
     if table.header[:1] != (TIMESTAMP[0],) or not names:
         raise table.error(table.header_line, "expected header 'timestamp,<name>,...'")
-    if INDICATOR in names:
-        raise ParseError(
-            f"{table.path}:{table.header_line} col {table.header.index(INDICATOR) + 1}: "
-            f"metric name {INDICATOR!r} is reserved for the anomaly indicator node"
-        )
+    for c, name in enumerate(names, start=2):
+        if name == INDICATOR:
+            raise table.error(table.header_line, f"metric name {name!r} is reserved for "
+                              "the anomaly indicator node", c)
+        if name in names[:c - 2]:
+            raise table.error(table.header_line, f"duplicate metric name {name!r}", c)
     ts, *columns = table.columns((int,) + (float,) * len(names))
     frame = MetricFrame(
         timestamps=ts,
-        values=np.column_stack(columns),
+        values=_finite(table, np.column_stack(columns), 2),
         names=names,
         interval=int(ts[1] - ts[0]) if ts.shape[0] >= 2 else 1,
     )
     if label_path is None:
         return frame, None
     return frame, _load_label_csv(label_path)
+
+
+def _finite(table: Table, values: np.ndarray, first_col: int) -> np.ndarray:
+    """``values`` if finite; its column 0 is file column ``first_col`` of ``table``."""
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        r, c = bad[0]
+        raise table.error(table.line(r), f"expected a finite number, got {values[r, c]}",
+                          c + first_col)
+    return values
 
 
 def _binary(table: Table, labels: np.ndarray) -> np.ndarray:
@@ -112,7 +124,7 @@ def load_smd(values_path, labels_path) -> tuple[MetricFrame, LabelSeries]:
     if not table.width:
         raise ParseError(f"{values_path}: empty file")
     width = table.width
-    values = table.matrix()
+    values = _finite(table, table.matrix(), 1)
     label_table = Table(labels_path, header=False)
     labels = _binary(label_table, label_table.columns((int,))[0])
     if len(labels) != len(values):

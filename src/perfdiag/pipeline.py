@@ -209,7 +209,10 @@ def _check_data(data) -> None:
 
 def load_config(path, overrides: Optional[dict] = None) -> PipelineConfig:
     """The JSON config at ``path`` (or none) with ``overrides`` named as in `OVERRIDES`."""
-    doc = json.loads(Path(path).read_text()) if path else {}
+    try:
+        doc = json.loads(Path(path).read_text()) if path else {}
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise InvalidConfig(f"{path}: not valid JSON: {exc}") from exc
     _check_object(doc, "config")
     for name, value in (overrides or {}).items():
         if value is not None:

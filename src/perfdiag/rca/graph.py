@@ -9,14 +9,14 @@ and the output is deterministic. The skeleton is a boolean adjacency matrix
 with separating sets as tuples of ranks, and orientation keeps the
 undirected edges and the arrows as two boolean matrices.
 
-The skeleton decides all level-0 tests in one batch. At each deeper level
-it decides the first conditioning sets of every edge up front, in a few
-batched calls, then walks the edges in order; an edge that this prefix does
-not settle goes on in doubling blocks. A test takes rho(i, j | S) from the
-2 x 2 Schur complement left after eliminating S, and a near-singular set is
-decided alone by partial_correlation. The first independent set in
-combination order still decides the edge, so the graph and the separating
-sets are those of testing one set at a time.
+The skeleton is PC-stable (Colombo & Maathuis, JMLR 2014): each level
+draws its conditioning sets from the adjacency at the level's start, so
+which edges fall does not depend on the names or the column order. Level 0
+is one batch; at each deeper level, every open edge decides its next block
+of sets in the same batched calls, round after round. A test takes
+rho(i, j | S) from the 2 x 2 Schur complement left after eliminating S; a
+near-singular set is decided alone by partial_correlation. The graph and
+the separating sets are those of testing one set at a time.
 """
 
 from __future__ import annotations
@@ -35,10 +35,8 @@ from ..errors import InvalidConfig, ParseError, SingularSubmatrixWarning
 
 # a decided block stacks at most this many bytes of correlation submatrices
 _BLOCK_BYTES = 1 << 19
-# conditioning sets of every pair decided at the start of a PC level. Most
-# edges that survive a level test all of their sets, so the prefix wastes at
-# most this many tests, on an edge that falls at an early set
-_PREFIX = 256
+# conditioning sets each pair decides in the first round of a PC level
+_FIRST_BLOCK = 256
 # a pivot or final 2 x 2 determinant at or below this flags a set as near
 # singular
 _PIVOT_MIN = 1e-10
@@ -261,18 +259,11 @@ def _skeleton(
     matrix, and the separating set of each removed edge (a, b), a < b, as a
     tuple of ranks.
 
-    At level l, edge (a, b) falls at the first size-l subset of adj(a) - b,
-    in combination order of the ranks, found independent; the removal takes
-    effect immediately.
-
-    Level 0 is one decision over all pairs. At a deeper level
-    the first _PREFIX sets of every pair's level-start candidates are
-    decided up front. Walking the pairs in order, a pair's valid sets are
-    those holding no node removed since the level began: in combination
-    order, exactly the subsets of its current candidates. So the first
-    valid independent set is the separating set of testing one set at a
-    time. A pair the prefix does not settle goes on through its current
-    candidates' later subsets in doubling blocks.
+    At level l >= 1, edge (a, b) falls at the first size-l subset of a's
+    neighbours at the level's start, b excluded, in combination order of
+    the ranks, found independent; if there is none, at the first such
+    subset of b's. Level 0 is one decision over all pairs; `_level` runs
+    the deeper levels.
     """
     q = _z_quantile(alpha)
     n = len(names)
@@ -319,51 +310,46 @@ def _skeleton(
 def _level(
     corr: np.ndarray, adj: np.ndarray, level: int, dof: int, q: float, separated
 ) -> None:
-    """One PC level >= 1 over the rank-ordered boolean adjacency ``adj``;
-    ``separated`` removes an edge at the first independent set it is given."""
+    """One PC-stable level >= 1 over the rank-ordered boolean adjacency
+    ``adj``; ``separated`` removes an edge at the first independent set it
+    is given. The sets come from each node's neighbours at the level's start.
+    A first pass tests each edge (a, b), a < b, from a; a second tests the
+    edges left from b. A pass runs in rounds: each open pair decides its next
+    block of sets in shared `_decide` batches, and leaves when its edge falls
+    or its sets run out. Blocks double from _FIRST_BLOCK sets to a batch."""
     rows = max(1, _BLOCK_BYTES // (8 * (level + 2) ** 2))
-    nodes = []  # (a, level-start neighbours, prefix positions)
-    codes, pending, held = [], [], 0
-    for a in np.flatnonzero(adj.sum(axis=1) > level):
-        nbrs = np.flatnonzero(adj[a])
-        table = _subsets(len(nbrs) - 1, level, 0, _PREFIX)
-        # the prefix of pair (a, nbrs[t]) skips position t of nbrs
-        t = np.arange(len(nbrs))[:, None, None]
-        pending.append(_tests(nbrs[table + (table >= t)], a, nbrs[:, None]))
-        nodes.append((a, nbrs, table))
-        held += len(pending[-1])
-        if held >= rows:
-            codes.append(_decide(corr, np.concatenate(pending), dof, q))
-            pending, held = [], 0
-    if pending:
-        codes.append(_decide(corr, np.concatenate(pending), dof, q))
-    codes = np.concatenate(codes) if codes else np.empty(0, np.int8)
+    nbrs = [np.flatnonzero(row) for row in adj]
+    total = [comb(max(len(nb) - 1, 0), level) for nb in nbrs]
 
-    offset = 0
-    for a, nbrs, table in nodes:
-        prefix = codes[offset:offset + len(nbrs) * len(table)].reshape(len(nbrs), -1)
-        offset += prefix.size
-        more = comb(len(nbrs) - 1, level) > len(table)
-        for t in range(len(nbrs)) if more else np.flatnonzero(prefix.any(axis=1)):
-            b = nbrs[t]
-            if not adj[a, b]:
-                continue
-            cands = np.delete(nbrs, t)
-            current = adj[a, cands]
-            if current.sum() < level:
-                continue
-            valid = current[table].all(axis=1)
-            if separated(a, b, cands[table], np.where(valid, prefix[t], _DEPENDENT)) or not more:
-                continue
-            cands = cands[current]
-            total = comb(len(cands), level)
-            start, size = int(valid.sum()), _PREFIX
-            while start < total:
-                size = min(2 * size, rows)
-                S = cands[_subsets(len(cands), level, start, start + size)]
-                if separated(a, b, S, _decide(corr, _tests(S, a, b), dof, q)):
-                    break
-                start += size
+    def settle(pending) -> None:
+        idx = np.concatenate([_tests(S, a, bs[:, None]) for a, bs, S in pending])
+        codes, offset = _decide(corr, idx, dof, q), 0
+        for a, bs, S in pending:
+            block = codes[offset:offset + S.shape[0] * S.shape[1]].reshape(S.shape[:2])
+            offset += block.size
+            for p in np.flatnonzero(block.any(axis=1)):
+                if separated(a, bs[p], S[p], block[p]):
+                    pairs[a, bs[p]] = False
+
+    for side in (np.triu, np.tril):
+        pairs, start, size = side(adj), 0, min(_FIRST_BLOCK, rows)
+        while (pairs := pairs & np.array([n > start for n in total])[:, None]).any():
+            pending, held = [], 0
+            for a in np.flatnonzero(pairs.any(axis=1)):
+                table = _subsets(len(nbrs[a]) - 1, level, start, start + size)
+                # the sets of pair (a, nbrs[a][t]) skip position t of nbrs[a]
+                t = np.flatnonzero(pairs[a, nbrs[a]])[:, None, None]
+                step = max(1, rows // len(table))  # pairs per pending chunk
+                for k in range(0, len(t), step):
+                    tk = t[k:k + step]
+                    pending.append((a, nbrs[a][tk[:, 0, 0]], nbrs[a][table + (table >= tk)]))
+                    held += len(tk) * len(table)
+                    if held >= rows:
+                        settle(pending)
+                        pending, held = [], 0
+            if pending:
+                settle(pending)
+            start, size = start + size, min(2 * size, rows)
 
 
 def _orient(adj: np.ndarray, sepset: dict) -> tuple[np.ndarray, np.ndarray]:

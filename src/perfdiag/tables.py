@@ -76,8 +76,9 @@ class Table:
         if header and first:
             self.header_line, self.header, self._skip = line, tuple(first), line
 
-    def error(self, line: int, message: str) -> ParseError:
-        return ParseError(f"{self.path}:{line}: {message}")
+    def error(self, line: int, message: str, col: int = 0) -> ParseError:
+        """A ParseError naming ``path:line``, and ``col c`` if a column is given."""
+        return ParseError(f"{self.path}:{line}{f' col {col}' if col else ''}: {message}")
 
     def read(self, layout: Layout) -> list:
         """Check the header against ``layout``, then parse its columns."""
@@ -152,9 +153,7 @@ class Table:
                         if kind is not str:
                             _DTYPE[kind](kind(cell))
                     except (ValueError, OverflowError):
-                        raise ParseError(
-                            f"{self.path}:{line} col {c}: expected {_KIND[kind]}, got {cell!r}"
-                        ) from None
+                        raise self.error(line, f"expected {_KIND[kind]}, got {cell!r}", c) from None
             raise
 
 

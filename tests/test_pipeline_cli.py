@@ -230,6 +230,14 @@ def test_load_config_checks_shape_before_overrides(tmp_path, doc, overrides, whe
         load_config(path, overrides)
 
 
+def test_cli_names_a_config_file_that_is_not_json(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"data": ')
+    err = stage_error(["run", "--config", str(path), "--out", str(tmp_path / "o")], capsys)
+    assert err["type"] == "InvalidConfig"
+    assert err["message"].startswith(f"{path}: not valid JSON")
+
+
 def test_config_hash_is_stable():
     # digests recorded before the config table replaced the hand-written
     # from_dict/to_dict pair: the benchmark workloads' settings, and a config
@@ -607,16 +615,43 @@ def test_cli_rca_rejects_a_malformed_graph(tmp_path, capsys):
     assert err["message"] == f"{gpath}: missing key 'undirected'"
 
 
-def test_cli_rejects_a_metric_named_indicator(tmp_path, capsys):
+@pytest.mark.parametrize("name, message", [
     # "indicator" is the anomaly indicator's node in the causal graph
+    ("indicator", "metric name 'indicator' is reserved for the anomaly indicator node"),
+    ("m1", "duplicate metric name 'm1'"),
+], ids=["indicator", "duplicate"])
+def test_cli_rejects_a_bad_metric_name(tmp_path, capsys, name, message):
     data = csv_inputs(tmp_path, "none")
     path = Path(data["csv"])
     header, rows = path.read_text().split("\n", 1)
-    path.write_text(header.replace("m2", "indicator") + "\n" + rows)
+    path.write_text(header.replace("m2", name) + "\n" + rows)
     cfg = write_config(tmp_path, {"data": data, "ensemble": "avg", "select": {"method": "none"}})
     err = stage_error(["run", "--config", str(cfg), "--out", str(tmp_path / "o")], capsys)
     assert err["stage"] == "ingest" and err["type"] == "ParseError"
-    assert err["message"].startswith(f"{path}:1 col 4: metric name 'indicator' is reserved")
+    assert err["message"] == f"{path}:1 col 4: {message}"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "smd"])
+@pytest.mark.parametrize("cell", ["nan", "-inf", "1e999"])
+def test_cli_rejects_a_non_finite_cell(tmp_path, capsys, fmt, cell):
+    if fmt == "csv":
+        data = csv_inputs(tmp_path, "none")
+        path, col = Path(data["csv"]), 3  # the timestamp is column 1
+        lines = path.read_text().splitlines()
+    else:
+        path, col = tmp_path / "values.txt", 2
+        lines = [f"{k},{k % 7}.5,1.25" for k in range(200)]
+        (tmp_path / "labels.txt").write_text("0\n" * 200)
+        data = {"smd_values": str(path), "smd_labels": str(tmp_path / "labels.txt")}
+    fields = lines[5].split(",")
+    fields[col - 1] = cell
+    lines[5] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    cfg = write_config(tmp_path, {"data": data, "ensemble": "avg", "select": {"method": "none"}})
+    err = stage_error(["run", "--config", str(cfg), "--out", str(tmp_path / "o")], capsys)
+    assert err["stage"] == "ingest" and err["type"] == "ParseError"
+    got = str(float(cell))
+    assert err["message"] == f"{path}:6 col {col}: expected a finite number, got {got}"
 
 
 def test_cli_eval_robustness(tmp_path, capsys):

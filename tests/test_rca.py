@@ -245,25 +245,32 @@ def named(skeleton, names):
 
 
 def reference_skeleton(corr, d, names, alpha):
-    """The PC skeleton with one partial_correlation call per conditioning set."""
+    """The PC-stable skeleton with one partial_correlation call per
+    conditioning set: each level draws the sets from the adjacency at its
+    start, and tests edge a -- b, a < b, from a's sets first, then b's."""
     q = _z_quantile(alpha)
     col = {n: k for k, n in enumerate(names)}
     adj = {n: set(names) - {n} for n in names}
     sepset = {}
     level = 0
     while any(len(adj[n]) > level for n in names) and d - level - 3 > 0:
-        for a in sorted(names):
-            for b in sorted(adj[a]):
-                for S in combinations(sorted(adj[a] - {b}), level):
-                    rho = partial_correlation(corr, col[a], col[b], [col[s] for s in S])
+        start = {n: sorted(adj[n]) for n in names}
+        for a, b in combinations(sorted(names), 2):
+            if b not in adj[a]:
+                continue
+            for x, y in ((a, b), (b, a)):
+                for S in combinations([c for c in start[x] if c != y], level):
+                    rho = partial_correlation(corr, col[x], col[y], [col[s] for s in S])
                     if abs(rho) >= 1.0:
                         continue
                     z = 0.5 * np.log((1.0 + rho) / (1.0 - rho))
                     if np.sqrt(d - level - 3) * abs(z) <= q:
                         adj[a].discard(b)
                         adj[b].discard(a)
-                        sepset[tuple(sorted((a, b)))] = S
+                        sepset[a, b] = S
                         break
+                if b not in adj[a]:
+                    break
         level += 1
     return adj, sepset
 
@@ -299,8 +306,8 @@ def near_singular_data():
 SKELETON_CASES = {
     "factors": lambda: factor_data(24),
     "collinear": collinear_binary_data,
-    # reaches level 11, overflows the per-level prefixes and shrinks the
-    # candidate sets of later pairs in the middle of a level
+    # reaches level 11, where pairs with more than _FIRST_BLOCK sets go on
+    # for several rounds of doubling blocks
     "factors32": lambda: factor_data(32),
     "near_singular": near_singular_data,
 }
@@ -313,11 +320,6 @@ SKELETON_CASES = {
 )
 def test_batched_skeleton_matches_one_test_per_call(case, alpha, monkeypatch):
     data, names = SKELETON_CASES[case]()
-    corr = _correlation_matrix(data)
-    d = data.shape[0]
-    with warnings.catch_warnings(record=True) as expected_warnings:
-        warnings.simplefilter("always")
-        expected = reference_skeleton(corr, d, names, alpha)
     alone = []  # levels of the sets the skeleton decides through partial_correlation
 
     def counted(corr, i, j, S):
@@ -325,16 +327,54 @@ def test_batched_skeleton_matches_one_test_per_call(case, alpha, monkeypatch):
         return partial_correlation(corr, i, j, S)
 
     monkeypatch.setattr(graph_module, "partial_correlation", counted)
-    with warnings.catch_warnings(record=True) as got_warnings:
-        warnings.simplefilter("always")
-        got = named(_skeleton(corr, d, names, alpha), names)
+    got, expected = skeletons(_correlation_matrix(data), data.shape[0], names, alpha)
     assert got == expected
-    assert [str(w.message) for w in got_warnings] == [
-        str(w.message) for w in expected_warnings
-    ]
-    assert (len(expected_warnings) > 0) == (case == "collinear")
+    assert (len(expected[1]) > 0) == (case == "collinear")
     if case == "near_singular":
         assert any(level >= 1 for level in alone)
+
+
+def test_batched_skeleton_matches_one_test_per_call_on_random_sems():
+    for seed in range(100):
+        X, names, alpha = random_sem(seed)
+        got, expected = skeletons(_correlation_matrix(X), len(X), names, alpha)
+        assert got == expected, seed
+
+
+def skeletons(corr, d, names, alpha):
+    """`_skeleton`'s output by name, then `reference_skeleton`'s, each with
+    the sorted messages of the warnings it raised. Rounds, not edges, set
+    the order in which the batched skeleton decides flagged sets."""
+    runs = []
+    for build in (lambda: named(_skeleton(corr, d, names, alpha), names),
+                  lambda: reference_skeleton(corr, d, names, alpha)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            runs.append((build(), sorted(str(w.message) for w in caught)))
+    return runs
+
+
+def adjacency(g, rename=lambda name: name):
+    """The edges of a graph, directed or not, as unordered name pairs."""
+    return {frozenset(map(rename, e)) for e in g.directed + g.undirected}
+
+
+@pytest.mark.parametrize("case", ["factors32", *range(50)])
+def test_skeleton_does_not_depend_on_names(case):
+    # a renaming that reverses the sorted order of the names reverses the
+    # order of every test's conditioning sets; separating sets and
+    # orientations may change, but not which metrics are adjacent
+    if case == "factors32":
+        (data, names), alpha = factor_data(32), 0.05
+    else:
+        data, names, alpha = random_sem(case)
+    ranked = sorted(names)
+    back = dict(zip(ranked[::-1], ranked))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SingularSubmatrixWarning)
+        g = pc_build(data, names, alpha)
+        renamed = pc_build(data, [back[n] for n in names], alpha)
+    assert adjacency(renamed, back.get) == adjacency(g)
 
 
 def reference_orient(names, adj, sepset, hits):
@@ -528,8 +568,8 @@ def test_subset_rows_follow_combination_order(n, level, start, stop):
 
 
 def test_skeleton_memory_bounded():
-    # measured 1.5 MiB: one 512 KiB block of stacked submatrices, its
-    # elimination temporaries and the pending prefix index rows
+    # measured 1.25 MiB: one 512 KiB block of stacked submatrices, its
+    # elimination temporaries and a round's pending index rows
     data, names = factor_data(32)
     corr = _correlation_matrix(data)
     tracemalloc.start()
@@ -544,7 +584,7 @@ def test_skeleton_memory_bounded():
 
 
 def test_pc_dense_factor_runtime_budget():
-    # 32 factor-driven metrics keep edges alive up to level 11: about 236k
+    # 32 factor-driven metrics keep edges alive up to level 11: about 300k
     # CI tests, so the budget holds only when each level's tests are decided
     # in batched Schur-complement calls
     data, names = factor_data(32)
