@@ -18,11 +18,9 @@ from pathlib import Path
 from .errors import PipelineStageError
 from .evaluation import ranks_from_f1, robustness
 from .pipeline import (
-    ENSEMBLES, OVERRIDES, SELECT_METHODS, PipelineConfig, load_config, ranking_table,
+    ENSEMBLES, OVERRIDES, SELECT_METHODS, PipelineConfig, load_config, rank_graph,
     run_pipeline, run_stage,
 )
-from .rca import CausalGraph, localize
-from .seeding import derive_seed
 from .tables import Table, format_table
 
 ROBUSTNESS = (("method", str), ("avg_rank", float), ("robustness", float))
@@ -100,7 +98,8 @@ def _dispatch(args) -> int:
     if args.command == "run":
         return _cmd_run(config, out)
     if args.command == "rca" and args.graph:
-        return _cmd_rca_graph(args, config, out)
+        _print_ranking(rank_graph(config, args.graph).entries)
+        return 0
     return _cmd_stage(args.command, config, out)
 
 
@@ -121,18 +120,6 @@ def _cmd_stage(name: str, config: PipelineConfig, out: Path) -> int:
             print("no anomaly window; nothing to localize")
         else:
             _print_ranking(run.rca_info["ranking"])
-    return 0
-
-
-def _cmd_rca_graph(args, config: PipelineConfig, out: Path) -> int:
-    ranking = localize(
-        CausalGraph.load(args.graph),
-        total_walks=config.walks,
-        length=config.walk_length,
-        seed=derive_seed(config.seed, "rca"),
-    )
-    (out / "ranking.csv").write_text(ranking_table(ranking), newline="")
-    _print_ranking(ranking.entries)
     return 0
 
 

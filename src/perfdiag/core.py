@@ -193,8 +193,6 @@ class ScoreMatrix:
 
     values: np.ndarray
     learner_names: tuple[str, ...]
-    norm_means: np.ndarray
-    norm_stds: np.ndarray
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
@@ -202,14 +200,8 @@ class ScoreMatrix:
             raise ShapeMismatch("score matrix must be 2-D")
         if vals.shape[1] != len(self.learner_names):
             raise ShapeMismatch("one learner name per column required")
-        means = np.asarray(self.norm_means, dtype=np.float64)
-        stds = np.asarray(self.norm_stds, dtype=np.float64)
-        if means.shape != (vals.shape[1],) or stds.shape != (vals.shape[1],):
-            raise ShapeMismatch("normalization stats must have one entry per column")
         object.__setattr__(self, "values", _frozen(vals))
         object.__setattr__(self, "learner_names", tuple(self.learner_names))
-        object.__setattr__(self, "norm_means", _frozen(means))
-        object.__setattr__(self, "norm_stds", _frozen(stds))
 
     @property
     def n_samples(self) -> int:
@@ -300,9 +292,11 @@ def dumps_json(obj: dict) -> str:
 
 def load_json(path) -> dict:
     """The JSON object in the file at ``path``; a ParseError naming the path
-    if the file holds none."""
+    if the file cannot be read or holds none."""
     try:
         doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror}") from exc
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ParseError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

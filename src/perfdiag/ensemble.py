@@ -33,7 +33,7 @@ def assemble(scores: Sequence[ScoreVector]) -> ScoreMatrix:
     Columns follow the canonical learner order (iforest, knn, lof, ocsvm);
     unknown learner names sort after those alphabetically. Each column is
     z-scored with population std; a constant column becomes all zeros with
-    a warning and its std is recorded as 0.
+    a warning.
     """
     if not scores:
         raise LengthMismatch("need at least one score vector")
@@ -49,18 +49,13 @@ def assemble(scores: Sequence[ScoreVector]) -> ScoreMatrix:
 
     ordered = sorted(scores, key=lambda s: rank(s.learner))
     raw = np.column_stack([s.values for s in ordered])
-    values, means, stds, const = standardize(raw)
+    values, _, _, const = standardize(raw)
     if const.any():
         bad = [s.learner for s, c in zip(ordered, const) if c]
         warnings.warn(
             f"constant score columns zeroed: {', '.join(bad)}", ConstantColumnWarning
         )
-    return ScoreMatrix(
-        values=values,
-        learner_names=tuple(s.learner for s in ordered),
-        norm_means=means,
-        norm_stds=stds,
-    )
+    return ScoreMatrix(values=values, learner_names=tuple(s.learner for s in ordered))
 
 
 def ensemble_max(M: ScoreMatrix) -> ScoreVector:

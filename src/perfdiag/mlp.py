@@ -1,9 +1,12 @@
 """Weakly supervised deep ensemble: a small MLP over the score matrix.
 
-Architecture is input -> 20 ReLU -> 20 ReLU -> 1 sigmoid giving P(anomaly),
-trained with binary cross-entropy and the Adam optimizer. A prediction
-shift s trains on pairs (scores at t, label at t+s) so the model forecasts
-s samples ahead. Training is fully deterministic in (data, config).
+Architecture is input -> HIDDEN ReLU -> HIDDEN ReLU -> 1 sigmoid giving
+P(anomaly), with HIDDEN = 20, trained with binary cross-entropy and the Adam
+optimizer at BETA1 = 0.9, BETA2 = 0.999 and EPS = 1e-8. A row is flagged
+when its probability reaches THRESHOLD = 0.5. A prediction shift s trains on
+pairs (scores at t, label at t+s) so the model forecasts s samples ahead.
+Training is fully deterministic in (data, config). A model is its weights
+and its shift.
 
 ``train_deep`` keeps W1..b3 as views into one flat float64 buffer.
 ``loss_and_grads`` writes the gradients into views of a second flat buffer
@@ -17,12 +20,12 @@ its minibatches are contiguous slices.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import DiagnosisReport, ScoreMatrix, check_fields, load_json
+from .core import DiagnosisReport, check_fields, load_json
 from .errors import (
     InvalidConfig,
     NonFiniteLoss,
@@ -33,9 +36,13 @@ from .errors import (
 )
 from .seeding import derived_rng
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+HIDDEN = 20
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+THRESHOLD = 0.5
 
 Params = tuple[np.ndarray, ...]  # (W1, b1, W2, b2, W3, b3)
+PARAM_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3")
 
 
 @dataclass(frozen=True)
@@ -43,10 +50,6 @@ class TrainConfig:
     epochs: int = 100
     batch: int = 20
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    hidden: int = 20
     seed: int = 0
 
     def __post_init__(self):
@@ -54,40 +57,16 @@ class TrainConfig:
         for name, ok, rule in (
             ("epochs", self.epochs >= 1, ">= 1"),
             ("batch", self.batch >= 1, ">= 1"),
-            ("hidden", self.hidden >= 1, ">= 1"),
             ("lr", math.isfinite(self.lr) and self.lr > 0.0, "finite and > 0"),
-            ("eps", math.isfinite(self.eps) and self.eps > 0.0, "finite and > 0"),
-            ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
-            ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
         ):
             if not ok:
                 raise InvalidConfig(f"train.{name} must be {rule}, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
-class NormStats:
-    """Score-matrix normalization carried with a model for reapplication."""
-
-    learner_names: tuple[str, ...]
-    means: tuple[float, ...]
-    stds: tuple[float, ...]
-
-    @classmethod
-    def from_matrix(cls, M: ScoreMatrix) -> "NormStats":
-        return cls(
-            learner_names=M.learner_names,
-            means=tuple(float(x) for x in M.norm_means),
-            stds=tuple(float(x) for x in M.norm_stds),
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class MlpModel:
     params: Params
-    config: TrainConfig
     shift: int
-    threshold: float = 0.5
-    norm: Optional[NormStats] = None
 
     def __post_init__(self):
         frozen = []
@@ -107,6 +86,8 @@ class MlpModel:
             or b3.shape != (1,)
         ):
             raise ShapeMismatch("parameter shapes do not chain")
+        if self.shift < 0:
+            raise ValueError(f"shift must be >= 0, got {self.shift}")
         object.__setattr__(self, "params", tuple(frozen))
 
     @property
@@ -115,52 +96,23 @@ class MlpModel:
         return (w1.shape[0], w1.shape[1], w2.shape[1], w3.shape[1])
 
     def to_dict(self) -> dict:
-        w1, b1, w2, b2, w3, b3 = self.params
         return {
             "schema_version": SCHEMA_VERSION,
             "layers": list(self.layer_sizes),
-            "weights": {
-                "W1": w1.tolist(), "b1": b1.tolist(),
-                "W2": w2.tolist(), "b2": b2.tolist(),
-                "W3": w3.tolist(), "b3": b3.tolist(),
-            },
-            "config": asdict(self.config),
+            "weights": {name: p.tolist() for name, p in zip(PARAM_NAMES, self.params)},
             "shift": self.shift,
-            "threshold": self.threshold,
-            "norm": None if self.norm is None else {
-                "learner_names": list(self.norm.learner_names),
-                "means": list(self.norm.means),
-                "stds": list(self.norm.stds),
-            },
         }
 
     @classmethod
     def load(cls, path) -> "MlpModel":
         doc = load_json(path)
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            raise ShapeMismatch(
-                f"unsupported model schema_version {doc.get('schema_version')!r}"
-            )
+        version = doc.get("schema_version")
+        if version != SCHEMA_VERSION:
+            raise ParseError(f"{path}: unsupported model schema_version {version!r}, expected "
+                             f"{SCHEMA_VERSION}; run the train stage again")
         try:
-            w = doc["weights"]
-            params = tuple(
-                np.asarray(w[k], dtype=np.float64)
-                for k in ("W1", "b1", "W2", "b2", "W3", "b3")
-            )
-            norm = None
-            if doc.get("norm"):
-                norm = NormStats(
-                    learner_names=tuple(doc["norm"]["learner_names"]),
-                    means=tuple(doc["norm"]["means"]),
-                    stds=tuple(doc["norm"]["stds"]),
-                )
-            return cls(
-                params=params,
-                config=TrainConfig(**doc["config"]),
-                shift=int(doc["shift"]),
-                threshold=float(doc["threshold"]),
-                norm=norm,
-            )
+            params = tuple(np.asarray(doc["weights"][k], dtype=np.float64) for k in PARAM_NAMES)
+            return cls(params=params, shift=int(doc["shift"]))
         except KeyError as exc:
             raise ParseError(f"{path}: missing key {exc}") from exc
         except (IndexError, TypeError, ValueError) as exc:
@@ -178,13 +130,24 @@ def init_params(n_inputs: int, hidden: int, seed: int) -> Params:
     return tuple(params)
 
 
+def _layers(params: Params, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both hidden activations and the output logit of each row of X."""
+    w1, b1, w2, b2, w3, b3 = params
+    # biases and ReLUs apply in place; h > 0 exactly where its pre-activation is
+    h1 = np.dot(X, w1)
+    h1 += b1
+    np.maximum(h1, 0.0, out=h1)
+    h2 = np.dot(h1, w2)
+    h2 += b2
+    np.maximum(h2, 0.0, out=h2)
+    z = np.dot(h2, w3)
+    z += b3
+    return h1, h2, z[:, 0]
+
+
 def forward(params: Params, X: np.ndarray) -> np.ndarray:
     """P(anomaly) per row."""
-    w1, b1, w2, b2, w3, b3 = params
-    h1 = np.maximum(X @ w1 + b1, 0.0)
-    h2 = np.maximum(h1 @ w2 + b2, 0.0)
-    z = (h2 @ w3 + b3)[:, 0]
-    return _sigmoid(z)
+    return _sigmoid(_layers(params, X)[2])
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -201,19 +164,10 @@ def loss_and_grads(
     With ``out``, six C-contiguous arrays shaped like ``params``, the
     gradients are written into them and returned; without it they are new.
     """
-    w1, b1, w2, b2, w3, b3 = params
+    _, _, w2, _, w3, _ = params
     gw1, gb1, gw2, gb2, gw3, gb3 = (None,) * 6 if out is None else out
     n = X.shape[0]
-    # biases and ReLUs apply in place; h > 0 exactly where its pre-activation is
-    h1 = np.dot(X, w1)
-    h1 += b1
-    np.maximum(h1, 0.0, out=h1)
-    h2 = np.dot(h1, w2)
-    h2 += b2
-    np.maximum(h2, 0.0, out=h2)
-    z3 = np.dot(h2, w3)
-    z3 += b3
-    z3 = z3[:, 0]
+    h1, h2, z3 = _layers(params, X)
     # stable BCE on logits: softplus(z) - y*z. The sums call np.add.reduce,
     # as ndarray.sum does, without its Python-level wrapper
     loss = float(np.add.reduce(np.logaddexp(0.0, z3) - y * z3) / n)
@@ -252,7 +206,6 @@ def train_deep(
     labels: np.ndarray,
     config: TrainConfig = TrainConfig(),
     shift: int = 0,
-    norm: Optional[NormStats] = None,
 ) -> MlpModel:
     """Train the MLP on normalized score rows against (possibly shifted) labels."""
     X, y = shifted_pairs(np.asarray(values, dtype=np.float64),
@@ -267,7 +220,7 @@ def train_deep(
         raise SingleClassTraining(
             f"training labels are all {int(classes[0])}; both classes required"
         )
-    init = init_params(X.shape[1], config.hidden, config.seed)
+    init = init_params(X.shape[1], HIDDEN, config.seed)
     # every parameter array is a view into one flat buffer, so one Adam step
     # updates all of them; loss_and_grads writes into views of g, same layout
     theta = np.concatenate(init, axis=None)
@@ -281,9 +234,8 @@ def train_deep(
     mv = np.zeros((2, theta.size))
     work = np.empty_like(mv)
     work_m, work_v = work
-    b1, b2 = config.beta1, config.beta2
-    decay = np.array([[b1], [b2]])
-    gain = np.array([[1.0 - b1], [1.0 - b2]])
+    decay = np.array([[BETA1], [BETA2]])
+    gain = np.array([[1.0 - BETA1], [1.0 - BETA2]])
     correction = np.empty((2, 1))
     shuffle_rng = derived_rng(config.seed, "mlp-shuffle")
     step = 0
@@ -296,23 +248,23 @@ def train_deep(
             if not math.isfinite(loss):
                 raise NonFiniteLoss(f"loss became {loss} at step {step}")
             step += 1
-            # m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+            # m = BETA1*m + (1-BETA1)*g;  v = BETA2*v + ((1-BETA2)*g)*g
             mv *= decay
             np.multiply(g, gain, out=work)
             work_v *= g
             mv += work
-            # theta -= (lr*m_hat) / (sqrt(v_hat) + eps)
-            correction[:, 0] = 1.0 - b1**step, 1.0 - b2**step
+            # theta -= (lr*m_hat) / (sqrt(v_hat) + EPS)
+            correction[:, 0] = 1.0 - BETA1**step, 1.0 - BETA2**step
             np.divide(mv, correction, out=work)
             np.sqrt(work_v, out=work_v)
-            work_v += config.eps
+            work_v += EPS
             work_m *= config.lr
             work_m /= work_v
             theta -= work_m
         # an overflowing g*g makes v inf and silently zeroes its weight's steps
         if not np.isfinite(mv).all():
             raise NonFiniteLoss(f"Adam moments became non-finite in epoch {epoch}")
-    return MlpModel(params=params, config=config, shift=shift, norm=norm)
+    return MlpModel(params=params, shift=shift)
 
 
 def predict_deep(model: MlpModel, M: np.ndarray) -> DiagnosisReport:
@@ -325,5 +277,4 @@ def predict_deep(model: MlpModel, M: np.ndarray) -> DiagnosisReport:
         raise ShapeMismatch(
             f"model expects {model.layer_sizes[0]} columns, got {values.shape}"
         )
-    probs = forward(model.params, values)
-    return DiagnosisReport(probabilities=probs, threshold=model.threshold)
+    return DiagnosisReport(probabilities=forward(model.params, values), threshold=THRESHOLD)

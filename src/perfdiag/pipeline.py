@@ -44,9 +44,9 @@ from .ensemble import (
 from .errors import InvalidConfig, ParseError, PipelineStageError
 from .evaluation import prf1
 from .ingest import LABELS, TIMESTAMP, GenConfig, GroundTruth, generate, load_csv, load_smd
-from .mlp import MlpModel, NormStats, TrainConfig, predict_deep, train_deep
+from .mlp import MlpModel, TrainConfig, predict_deep, train_deep
 from .preprocess import correlate_select, pca_fit, pca_transform, zscore
-from .rca import INDICATOR, RootCauseRanking, ac_at_k, avg_at_k, localize, pc_build
+from .rca import INDICATOR, CausalGraph, RootCauseRanking, ac_at_k, avg_at_k, localize, pc_build
 from .seeding import derive_seed
 from .tables import Table, format_table
 
@@ -211,6 +211,8 @@ def load_config(path, overrides: Optional[dict] = None) -> PipelineConfig:
     """The JSON config at ``path`` (or none) with ``overrides`` named as in `OVERRIDES`."""
     try:
         doc = json.loads(Path(path).read_text()) if path else {}
+    except OSError as exc:
+        raise InvalidConfig(f"{path}: cannot read: {exc.strerror}") from exc
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise InvalidConfig(f"{path}: not valid JSON: {exc}") from exc
     _check_object(doc, "config")
@@ -371,12 +373,12 @@ def _ingest(run: _Run) -> None:
 
 def _select(run: _Run) -> None:
     cfg = run.config
-    normalized, stats = zscore(run.frame)
+    normalized, dropped = zscore(run.frame)
     run.normalized = normalized
     info: dict = {
         "method": cfg.select_method,
         "n_before": run.frame.n_metrics,
-        "dropped_constant": list(stats.dropped),
+        "dropped_constant": list(dropped),
     }
     if cfg.select_method == "correlation":
         if run.labels is None:
@@ -463,10 +465,7 @@ def _train(run: _Run, halves) -> None:
     """Train half of the deep ensemble: fit the MLP on the train side."""
     cfg = run.config
     (train_X, train_y), _ = halves
-    run.model = train_deep(
-        train_X, train_y, cfg.train_config(), shift=cfg.shift,
-        norm=NormStats.from_matrix(run.matrix),
-    )
+    run.model = train_deep(train_X, train_y, cfg.train_config(), shift=cfg.shift)
     run.write("model.json", run.model.to_dict())
 
 
@@ -480,8 +479,7 @@ def _predict(run: _Run, halves) -> None:
     if usable <= 0:
         raise InvalidConfig(f"shift {s} leaves no evaluable test rows")
     fragment = predict_deep(run.model, test_X)
-    probs = fragment.probabilities[:usable]
-    run.report = DiagnosisReport(probabilities=probs, threshold=run.model.threshold)
+    run.report = DiagnosisReport(fragment.probabilities[:usable], fragment.threshold)
     run.eval_span_labels = test_y[s:]
     timeline = np.zeros(run.matrix.n_samples, dtype=np.int64)
     timeline[cut + s : cut + s + usable] = run.report.verdicts
@@ -497,6 +495,20 @@ def ranking_table(ranking: RootCauseRanking) -> str:
     names = ranking.names()
     counts = [count for _, count in ranking.entries]
     return format_table(RANKING, [range(1, len(names) + 1), names, counts])
+
+
+def _rank(run: _Run, graph: CausalGraph) -> RootCauseRanking:
+    """Rank root causes by the config's random walks on ``graph``; write ranking.csv."""
+    cfg = run.config
+    ranking = localize(graph, total_walks=cfg.walks, length=cfg.walk_length,
+                       seed=derive_seed(cfg.seed, "rca"))
+    run.write("ranking.csv", ranking_table(ranking))
+    return ranking
+
+
+def rank_graph(config: PipelineConfig, path) -> RootCauseRanking:
+    """`perfdiag rca --graph`: rank the graph JSON at ``path`` as `_rca` ranks its own."""
+    return _rank(_Run(config), CausalGraph.load(path))
 
 
 def _rca_span(timeline: np.ndarray) -> np.ndarray:
@@ -535,13 +547,7 @@ def _rca(run: _Run) -> None:
     graph = pc_build(span, names, alpha=cfg.alpha)
     run.write("graph.txt", graph.edge_list_text())
     run.write("graph.json", graph.to_dict())
-    ranking = localize(
-        graph,
-        total_walks=cfg.walks,
-        length=cfg.walk_length,
-        seed=derive_seed(cfg.seed, "rca"),
-    )
-    run.write("ranking.csv", ranking_table(ranking))
+    ranking = _rank(run, graph)
     info: dict = {
         "graph_path": "graph.json",
         "ranking": [[n, c] for n, c in ranking.entries],

@@ -27,26 +27,16 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class ZscoreStats:
-    """Per-column mean/std actually applied, plus names of dropped columns."""
-
-    names: tuple[str, ...]
-    means: np.ndarray
-    stds: np.ndarray
-    dropped: tuple[str, ...]
-
-
-def zscore(frame: MetricFrame) -> tuple[MetricFrame, ZscoreStats]:
+def zscore(frame: MetricFrame) -> tuple[MetricFrame, tuple[str, ...]]:
     """Normalize each column to mean 0, population std 1.
 
     Constant columns (max == min) carry no signal and cannot be scaled; they
-    are dropped with a ConstantColumnWarning and recorded in the returned
-    stats.
+    are dropped with a ConstantColumnWarning, and their names are returned
+    beside the frame.
     """
     if frame.n_samples < 2:
         raise TooFewSamples(f"z-score needs at least 2 samples, got {frame.n_samples}")
-    z, means, stds, const = standardize(frame.values)
+    z, _, _, const = standardize(frame.values)
     keep = ~const
     dropped = tuple(n for n, k in zip(frame.names, keep) if not k)
     if dropped:
@@ -61,9 +51,7 @@ def zscore(frame: MetricFrame) -> tuple[MetricFrame, ZscoreStats]:
         names=tuple(n for n, k in zip(frame.names, keep) if k),
         interval=frame.interval,
     )
-    return out, ZscoreStats(
-        names=out.names, means=means[keep], stds=stds[keep], dropped=dropped
-    )
+    return out, dropped
 
 
 @dataclass(frozen=True)

@@ -66,10 +66,13 @@ class Table:
 
     def __init__(self, path, header: bool = True):
         self.path = path
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            first = next(filter(None, reader), [])
-            line = reader.line_num
+        try:
+            with open(path, newline="") as fh:
+                reader = csv.reader(fh)
+                first = next(filter(None, reader), [])
+                line = reader.line_num
+        except OSError as exc:
+            raise ParseError(f"{path}: cannot read: {exc.strerror}") from exc
         self.width = len(first)
         # the file lines before the data rows, blank lines among them
         self.header_line, self.header, self._skip = 1, (), 0

@@ -98,12 +98,7 @@ WORKED_AVG = np.array([-0.35, -0.11, 2.28, 1.97, 0.75])
 
 def test_criterion_01_linear_ensemble_worked_example():
     start = time.perf_counter()
-    M = ScoreMatrix(
-        values=WORKED_ROWS,
-        learner_names=KINDS,
-        norm_means=np.zeros(4),
-        norm_stds=np.ones(4),
-    )
+    M = ScoreMatrix(values=WORKED_ROWS, learner_names=KINDS)
     got_max = ensemble_max(M).values
     got_avg = ensemble_avg(M).values
     np.testing.assert_allclose(got_max, WORKED_MAX, rtol=0.0, atol=0.01)

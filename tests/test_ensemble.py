@@ -31,9 +31,7 @@ def sm(vals, names=None):
     vals = np.asarray(vals, dtype=np.float64)
     k = vals.shape[1]
     names = names or tuple(f"l{i}" for i in range(k))
-    return ScoreMatrix(
-        values=vals, learner_names=names, norm_means=np.zeros(k), norm_stds=np.ones(k)
-    )
+    return ScoreMatrix(values=vals, learner_names=names)
 
 
 # --- assemble -------------------------------------------------------------
@@ -47,15 +45,12 @@ def test_assemble_zscores_columns():
     M = assemble([sv([1.0, 2.0, 3.0], "knn")])
     expect = 1.224744871391589
     np.testing.assert_allclose(M.values[:, 0], [-expect, 0.0, expect], atol=1e-12)
-    assert M.norm_means[0] == 2.0
-    assert M.norm_stds[0] == pytest.approx(np.sqrt(2.0 / 3.0), rel=1e-12)
 
 
 def test_assemble_constant_column_zeroed_with_warning():
     with pytest.warns(ConstantColumnWarning):
         M = assemble([sv([5.0, 5.0, 5.0], "lof"), sv([1.0, 2.0, 3.0], "knn")])
     np.testing.assert_array_equal(M.values[:, M.learner_names.index("lof")], 0.0)
-    assert M.norm_stds[M.learner_names.index("lof")] == 0.0
 
 
 def test_assemble_rejects_mismatched_lengths():

@@ -17,8 +17,11 @@ from perfdiag.errors import (
     TooFewSamples,
 )
 from perfdiag.mlp import (
+    BETA1,
+    BETA2,
+    EPS,
+    HIDDEN,
     MlpModel,
-    NormStats,
     TrainConfig,
     _sigmoid,
     forward,
@@ -72,7 +75,7 @@ def numeric_grads(params, X, y, eps=1e-5):
 # --- forward / predict ----------------------------------------------------
 
 def test_zero_parameters_give_half_probability():
-    model = MlpModel(params=zero_params(), config=TrainConfig(), shift=0)
+    model = MlpModel(params=zero_params(), shift=0)
     report = predict_deep(model, np.random.default_rng(0).standard_normal((5, 2)))
     np.testing.assert_array_equal(report.probabilities, np.full(5, 0.5))
     np.testing.assert_array_equal(report.verdicts, np.ones(5, dtype=np.int64))
@@ -112,8 +115,27 @@ def test_sigmoid_matches_masked_reference_exactly():
         np.testing.assert_array_equal(np.signbit(got[~nan]), np.signbit(want[~nan]))
 
 
+def reference_forward(params, X):
+    """forward as first written, with ``@`` products and new arrays."""
+    w1, b1, w2, b2, w3, b3 = params
+    h1 = np.maximum(X @ w1 + b1, 0.0)
+    h2 = np.maximum(h1 @ w2 + b2, 0.0)
+    return _sigmoid((h2 @ w3 + b3)[:, 0])
+
+
+@pytest.mark.parametrize("rows", [1, 7, 300])
+@pytest.mark.parametrize("width", [1, 4])
+def test_forward_matches_reference_bit_for_bit(rows, width):
+    rng = np.random.default_rng([rows, width])
+    params = random_params(rng, n_in=width, h=20)
+    X = rng.standard_normal((rows, width))
+    want = reference_forward(params, X)
+    got = forward(params, X)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_predict_rejects_wrong_width():
-    model = MlpModel(params=zero_params(n_in=3), config=TrainConfig(), shift=0)
+    model = MlpModel(params=zero_params(n_in=3), shift=0)
     with pytest.raises(ShapeMismatch):
         predict_deep(model, np.zeros((4, 2)))
 
@@ -273,7 +295,7 @@ def reference_train(values, labels, config, shift):
     X, y = shifted_pairs(np.asarray(values, dtype=np.float64),
                          np.asarray(labels, dtype=np.float64), shift)
     n = X.shape[0]
-    params = [p.copy() for p in init_params(X.shape[1], config.hidden, config.seed)]
+    params = [p.copy() for p in init_params(X.shape[1], HIDDEN, config.seed)]
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
     shuffle_rng = derived_rng(config.seed, "mlp-shuffle")
@@ -285,11 +307,11 @@ def reference_train(values, labels, config, shift):
             _, grads = loss_and_grads(tuple(params), X[rows], y[rows])
             step += 1
             for i, g in enumerate(grads):
-                m[i] = config.beta1 * m[i] + (1.0 - config.beta1) * g
-                v[i] = config.beta2 * v[i] + (1.0 - config.beta2) * g * g
-                m_hat = m[i] / (1.0 - config.beta1**step)
-                v_hat = v[i] / (1.0 - config.beta2**step)
-                params[i] = params[i] - config.lr * m_hat / (np.sqrt(v_hat) + config.eps)
+                m[i] = BETA1 * m[i] + (1.0 - BETA1) * g
+                v[i] = BETA2 * v[i] + (1.0 - BETA2) * g * g
+                m_hat = m[i] / (1.0 - BETA1**step)
+                v_hat = v[i] / (1.0 - BETA2**step)
+                params[i] = params[i] - config.lr * m_hat / (np.sqrt(v_hat) + EPS)
     return params
 
 
@@ -317,10 +339,7 @@ def test_training_matches_per_array_reference_bit_for_bit(rows, batch, shift, se
     "bad",
     [{"batch": 0}, {"batch": -5}, {"epochs": 0},
      {"lr": 0.0}, {"lr": -1e-3}, {"lr": float("nan")}, {"lr": float("inf")},
-     {"epochs": 2.5}, {"batch": True}, {"lr": "x"},
-     {"hidden": 0}, {"beta1": -0.5}, {"beta1": 1.0}, {"beta2": 1.5},
-     {"beta2": float("nan")}, {"eps": 0.0}, {"eps": -1e-8}, {"eps": float("nan")},
-     {"eps": float("inf")}],
+     {"epochs": 2.5}, {"batch": True}, {"lr": "x"}],
 )
 def test_training_rejects_bad_config(bad):
     X, y = toy_data(0)
@@ -358,8 +377,7 @@ def test_save_load_round_trip(tmp_path):
         ScoreVector(values=X[:, 0], learner="knn"),
         ScoreVector(values=X[:, 1], learner="lof"),
     ])
-    model = train_deep(M.values, y, TrainConfig(seed=3, epochs=5),
-                       norm=NormStats.from_matrix(M))
+    model = train_deep(M.values, y, TrainConfig(seed=3, epochs=5))
     path = tmp_path / "model.json"
     path.write_text(dumps_json(model.to_dict()))
     loaded = MlpModel.load(path)
@@ -369,12 +387,35 @@ def test_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(a.probabilities, b.probabilities)
 
 
-def test_load_rejects_unknown_schema(tmp_path):
+def test_model_document_holds_weights_and_shift():
     X, y = toy_data(3)
-    model = train_deep(X, y, TrainConfig(seed=0, epochs=2))
+    doc = train_deep(X, y, TrainConfig(seed=0, epochs=2), shift=2).to_dict()
+    assert set(doc) == {"schema_version", "layers", "weights", "shift"}
+    assert doc["schema_version"] == 2
+    assert doc["layers"] == [2, HIDDEN, HIDDEN, 1]
+    assert doc["shift"] == 2
+
+
+@pytest.mark.parametrize("version", [1, 99, None])
+def test_load_rejects_unknown_schema(tmp_path, version):
+    X, y = toy_data(3)
+    doc = train_deep(X, y, TrainConfig(seed=0, epochs=2)).to_dict()
+    if version == 1:
+        # the schema-1 document also carried the training config, the 0.5
+        # threshold and the score normalization
+        doc = {**doc, "schema_version": 1, "threshold": 0.5,
+               "config": {"epochs": 2, "batch": 20, "lr": 1e-3, "beta1": 0.9,
+                          "beta2": 0.999, "eps": 1e-8, "hidden": 20, "seed": 0},
+               "norm": {"learner_names": ["knn", "lof"], "means": [0.0, 0.0],
+                        "stds": [1.0, 1.0]}}
+    elif version is None:
+        del doc["schema_version"]
+    else:
+        doc["schema_version"] = version
     path = tmp_path / "model.json"
-    path.write_text(dumps_json({**model.to_dict(), "schema_version": 99}))
-    with pytest.raises(ShapeMismatch):
+    path.write_text(dumps_json(doc))
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: unsupported model "
+                       rf"schema_version {version}, expected 2"):
         MlpModel.load(path)
 
 
@@ -387,6 +428,7 @@ def malformed_models(doc):
     yield "weights not an object", dumps_json({**doc, "weights": [1, 2]})
     yield "ragged W1", dumps_json({**doc, "weights": {**doc["weights"], "W1": [[1.0], [1.0, 2.0]]}})
     yield "shift not a number", dumps_json({**doc, "shift": "x"})
+    yield "negative shift", dumps_json({**doc, "shift": -3})
 
 
 def test_load_rejects_malformed_models(tmp_path):
@@ -403,16 +445,13 @@ def test_load_rejects_malformed_models(tmp_path):
 
 def test_model_validation():
     with pytest.raises(NonFiniteLoss):
-        MlpModel(
-            params=(np.full((2, 20), np.nan),) + zero_params()[1:],
-            config=TrainConfig(), shift=0,
-        )
+        MlpModel(params=(np.full((2, 20), np.nan),) + zero_params()[1:], shift=0)
     with pytest.raises(ShapeMismatch):
-        MlpModel(params=zero_params()[:4], config=TrainConfig(), shift=0)
+        MlpModel(params=zero_params()[:4], shift=0)
     bad = list(zero_params())
     bad[2] = np.zeros((21, 20))  # does not chain after W1
     with pytest.raises(ShapeMismatch):
-        MlpModel(params=tuple(bad), config=TrainConfig(), shift=0)
+        MlpModel(params=tuple(bad), shift=0)
 
 
 def test_init_params_deterministic_and_scaled():

@@ -238,6 +238,25 @@ def test_cli_names_a_config_file_that_is_not_json(tmp_path, capsys):
     assert err["message"].startswith(f"{path}: not valid JSON")
 
 
+@pytest.mark.parametrize("case", ["no config", "config is a directory", "no graph", "no data"])
+def test_cli_names_a_path_that_cannot_be_read(tmp_path, capsys, case):
+    missing = tmp_path / "nope.json"
+    data = {"csv": str(missing)} if case == "no data" else {"generate": GEN}
+    cfg = write_config(tmp_path, {"data": data})
+    out = ["--out", str(tmp_path / "o")]
+    argv, path, stage, kind = {
+        "no config": (["run", "--config", str(missing)], missing, "run", "InvalidConfig"),
+        "config is a directory": (["run", "--config", str(tmp_path)], tmp_path, "run",
+                                  "InvalidConfig"),
+        "no graph": (["rca", "--config", str(cfg), "--graph", str(missing)], missing, "rca",
+                     "ParseError"),
+        "no data": (["run", "--config", str(cfg)], missing, "ingest", "ParseError"),
+    }[case]
+    err = stage_error([*argv, *out], capsys)
+    assert (err["stage"], err["type"]) == (stage, kind)
+    assert err["message"].startswith(f"{path}: cannot read: ")
+
+
 def test_config_hash_is_stable():
     # digests recorded before the config table replaced the hand-written
     # from_dict/to_dict pair: the benchmark workloads' settings, and a config
@@ -602,6 +621,17 @@ def test_cli_rca_on_explicit_graph(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert {r["node"] for r in rows[:4]} == {"n6", "n14", "n17", "n18"}
     assert sum(int(r["count"]) for r in rows) == 500
+    capsys.readouterr()
+
+
+def test_cli_rca_on_a_runs_graph_writes_the_runs_ranking(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"data": {"generate": GEN}, "seed": 11, "ensemble": "avg"})
+    full, again = tmp_path / "full", tmp_path / "again"
+    assert main(["run", "--config", str(cfg), "--out", str(full)]) == 0
+    graph = str(full / "graph.json")
+    assert main(["rca", "--config", str(cfg), "--graph", graph, "--out", str(again)]) == 0
+    assert len((full / "ranking.csv").read_text().splitlines()) > 1
+    assert (again / "ranking.csv").read_bytes() == (full / "ranking.csv").read_bytes()
     capsys.readouterr()
 
 

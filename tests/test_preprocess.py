@@ -36,18 +36,18 @@ def labels_for(frame, bits):
 
 def test_zscore_small_column():
     f = frame_from({"a": [1.0, 2.0, 3.0]})
-    out, stats = zscore(f)
+    out, dropped = zscore(f)
     expect = 1.224744871391589  # 1 / sqrt(2/3), population std
     np.testing.assert_allclose(out.values[:, 0], [-expect, 0.0, expect], atol=1e-12)
-    assert stats.means == (2.0,)
+    assert dropped == ()
 
 
 def test_zscore_drops_constant_column_with_warning():
     f = frame_from({"a": [1.0, 2.0, 3.0], "b": [5.0, 5.0, 5.0]})
     with pytest.warns(ConstantColumnWarning):
-        out, stats = zscore(f)
+        out, dropped = zscore(f)
     assert out.names == ("a",)
-    assert stats.dropped == ("b",)
+    assert dropped == ("b",)
 
 
 def test_zscore_all_constant_degenerate():
