@@ -94,7 +94,6 @@ def _dispatch(args) -> int:
         return _cmd_eval(args)
     config = _config_from_args(args)
     out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.command == "run":
         return _cmd_run(config, out)
     if args.command == "rca" and args.graph:

@@ -86,6 +86,8 @@ class MlpModel:
             or b3.shape != (1,)
         ):
             raise ShapeMismatch("parameter shapes do not chain")
+        if not isinstance(self.shift, int) or isinstance(self.shift, bool):
+            raise ValueError(f"shift must be an integer, got {self.shift!r}")
         if self.shift < 0:
             raise ValueError(f"shift must be >= 0, got {self.shift}")
         object.__setattr__(self, "params", tuple(frozen))
@@ -112,7 +114,7 @@ class MlpModel:
                              f"{SCHEMA_VERSION}; run the train stage again")
         try:
             params = tuple(np.asarray(doc["weights"][k], dtype=np.float64) for k in PARAM_NAMES)
-            return cls(params=params, shift=int(doc["shift"]))
+            return cls(params=params, shift=doc["shift"])
         except KeyError as exc:
             raise ParseError(f"{path}: missing key {exc}") from exc
         except (IndexError, TypeError, ValueError) as exc:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -65,8 +65,8 @@ RANKING = (("rank", int), ("node", str), ("count", int))
 
 # Where each scalar PipelineConfig field sits in the JSON config: (section,
 # key), with section None for the top level. The dataclass defaults are the
-# only defaults. "data" and the "detect" keys other than anomaly_fraction
-# (detector_overrides) are kept as given.
+# only defaults. "data" is kept as given, and so are the "detect" keys other
+# than anomaly_fraction (detector_overrides) that differ from their default.
 SETTINGS = {
     "out": (None, "out"),
     "seed": (None, "seed"),
@@ -122,6 +122,7 @@ class PipelineConfig:
             (self.select_method in SELECT_METHODS, f"select.method must be one of {SELECT_METHODS}"),
             (self.ensemble in ENSEMBLES, f"ensemble must be one of {ENSEMBLES}"),
             (0.0 < self.train_fraction < 1.0, "train_fraction must lie in (0, 1)"),
+            (0.0 < self.pca_variance <= 1.0, "select.variance must lie in (0, 1]"),
             (0.0 < self.alpha < 1.0, "rca.alpha must lie in (0, 1)"),
             (self.shift >= 0, "shift must be >= 0"),
             (self.walks >= 1, "rca.walks must be >= 1"),
@@ -136,6 +137,9 @@ class PipelineConfig:
         self.detector_spec(KINDS[0])
         self.train_config()
         _check_data(self.data)
+        # a detect key at its DetectorSpec default is no override: same equality and hash
+        object.__setattr__(self, "detector_overrides", {
+            k: v for k, v in self.detector_overrides.items() if v != getattr(DetectorSpec, k)})
 
     def detector_spec(self, kind: str) -> DetectorSpec:
         seed = derive_seed(self.seed, "detectors")
@@ -231,6 +235,7 @@ class _Run:
     def __init__(self, config: PipelineConfig):
         self.config = config
         self.out = Path(config.out)
+        self.out.mkdir(parents=True, exist_ok=True)
         self.timings: dict[str, float] = {}
         self.artifacts: dict[str, str] = {}  # file name -> sha256 of its bytes
         self.frame: Optional[MetricFrame] = None
@@ -242,8 +247,7 @@ class _Run:
         self.matrix: Optional[ScoreMatrix] = None
         self.model: Optional[MlpModel] = None
         self.report: Optional[DiagnosisReport] = None
-        self.eval_span_labels: Optional[np.ndarray] = None
-        self.verdict_timeline: Optional[np.ndarray] = None
+        self.verdict_rows: Optional[slice] = None  # the selected rows of report
         self.rca_info: Optional[dict] = None
 
     def stage(self, name: str, fn):
@@ -265,7 +269,6 @@ class _Run:
 def run_pipeline(config: PipelineConfig) -> DiagnosisReport:
     """Execute all stages, write artifacts, and return the diagnosis."""
     run = _Run(config)
-    run.out.mkdir(parents=True, exist_ok=True)
     run.stage("ingest", lambda: _ingest(run))
     run.stage("select", lambda: _select(run))
     run.stage("detect", lambda: _detect(run))
@@ -291,7 +294,6 @@ def run_stage(config: PipelineConfig, name: str) -> _Run:
     if name == "gen" and "generate" not in config.data:
         raise InvalidConfig("gen requires a data.generate section in the config")
     run = _Run(config)
-    run.out.mkdir(parents=True, exist_ok=True)
     _ingest(run)
     if name == "gen":
         frame, labels = run.frame, run.labels
@@ -313,8 +315,6 @@ def run_stage(config: PipelineConfig, name: str) -> _Run:
             run.model = MlpModel.load(_artifact(run, "model.json", "train"))
             _predict(run, halves)
     elif name == "rca":
-        if run.labels is None:
-            run.verdict_timeline = _read_verdicts(run)
         _rca(run)
     elif name != "select":
         raise InvalidConfig(f"unknown stage {name!r}")
@@ -436,11 +436,17 @@ def _ensemble(run: _Run) -> None:
         combined = ensemble_avg(run.matrix)
     else:
         combined = ensemble_weighted(run.matrix, mi_weights(run.matrix))
-    run.report = _report_from_scores(combined, cfg.anomaly_fraction)
-    run.eval_span_labels = None if run.labels is None else run.labels.labels
-    run.verdict_timeline = run.report.verdicts.copy()
+    _verdicts(run, _report_from_scores(combined, cfg.anomaly_fraction), 0)
+
+
+def _verdicts(run: _Run, report: DiagnosisReport, first: int) -> None:
+    """Keep ``report`` as the verdicts on the selected rows from ``first``
+    on, and write them to verdicts.csv."""
+    run.report = report
+    run.verdict_rows = slice(first, first + len(report.verdicts))
+    timestamps = run.selected.timestamps[run.verdict_rows]
     run.write("verdicts.csv", format_table(
-        VERDICTS, [run.selected.timestamps, run.report.probabilities, run.report.verdicts]
+        VERDICTS, [timestamps, report.probabilities, report.verdicts]
     ))
 
 
@@ -471,7 +477,7 @@ def _train(run: _Run, halves) -> None:
 
 def _predict(run: _Run, halves) -> None:
     """Predict half of the deep ensemble: verdicts on the test side."""
-    (train_X, _), (test_X, test_y) = halves
+    (train_X, _), (test_X, _) = halves
     cut = train_X.shape[0]
     s = run.model.shift
     # verdict for input row t targets time t+s; evaluate where the target exists
@@ -479,15 +485,7 @@ def _predict(run: _Run, halves) -> None:
     if usable <= 0:
         raise InvalidConfig(f"shift {s} leaves no evaluable test rows")
     fragment = predict_deep(run.model, test_X)
-    run.report = DiagnosisReport(fragment.probabilities[:usable], fragment.threshold)
-    run.eval_span_labels = test_y[s:]
-    timeline = np.zeros(run.matrix.n_samples, dtype=np.int64)
-    timeline[cut + s : cut + s + usable] = run.report.verdicts
-    run.verdict_timeline = timeline
-    timestamps = run.selected.timestamps[cut + s : cut + s + usable]
-    run.write("verdicts.csv", format_table(
-        VERDICTS, [timestamps, run.report.probabilities, run.report.verdicts]
-    ))
+    _verdicts(run, DiagnosisReport(fragment.probabilities[:usable], fragment.threshold), cut + s)
 
 
 def ranking_table(ranking: RootCauseRanking) -> str:
@@ -525,12 +523,8 @@ def _rca_span(timeline: np.ndarray) -> np.ndarray:
 def _rca(run: _Run) -> None:
     cfg = run.config
     # known labels define the anomaly windows when available; otherwise the
-    # detector verdicts stand in
-    timeline = (
-        run.labels.labels.astype(np.int64)
-        if run.labels is not None
-        else run.verdict_timeline
-    )
+    # verdicts written to verdicts.csv stand in
+    timeline = run.labels.labels.astype(np.int64) if run.labels is not None else _read_verdicts(run)
     if not timeline.any():
         return
     rows = _rca_span(timeline)
@@ -566,14 +560,9 @@ def _rca(run: _Run) -> None:
 def _report(run: _Run) -> None:
     cfg = run.config
     ev = None
-    if run.eval_span_labels is not None:
-        p, r, f1 = prf1(run.report.verdicts, run.eval_span_labels)
-        ev = EvaluationBlock(precision=p, recall=r, f1=f1)
-    run.report = DiagnosisReport(
-        probabilities=run.report.probabilities,
-        threshold=run.report.threshold,
-        evaluation=ev,
-    )
+    if run.labels is not None:
+        ev = EvaluationBlock(*prf1(run.report.verdicts, run.labels.labels[run.verdict_rows]))
+        run.report = replace(run.report, evaluation=ev)
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "manifest": {

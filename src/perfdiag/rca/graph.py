@@ -11,9 +11,9 @@ undirected edges and the arrows as two boolean matrices.
 
 The skeleton is PC-stable (Colombo & Maathuis, JMLR 2014): each level
 draws its conditioning sets from the adjacency at the level's start, so
-which edges fall does not depend on the names or the column order. Level 0
-is one batch; at each deeper level, every open edge decides its next block
-of sets in the same batched calls, round after round. A test takes
+which edges fall does not depend on the names or the column order. At
+each level, level 0 included, every open edge decides its next block of
+sets in the same batched calls, round after round. A test takes
 rho(i, j | S) from the 2 x 2 Schur complement left after eliminating S; a
 near-singular set is decided alone by partial_correlation. The graph and
 the separating sets are those of testing one set at a time.
@@ -40,7 +40,8 @@ _FIRST_BLOCK = 256
 # a pivot or final 2 x 2 determinant at or below this flags a set as near
 # singular
 _PIVOT_MIN = 1e-10
-_DEPENDENT, _INDEPENDENT, _FLAGGED = 0, 1, 2
+# _decide's code for a near-singular set; 0 is dependent and 1 independent
+_FLAGGED = 2
 # subset position tables by (candidate count, level), kept while small
 _TABLE_CACHE_BYTES = 1 << 16
 _SUBSET_TABLES: dict[tuple[int, int], np.ndarray] = {}
@@ -200,7 +201,7 @@ def _schur_rho(corr: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _decide(corr: np.ndarray, idx: np.ndarray, dof: int, q: float) -> np.ndarray:
-    """_DEPENDENT, _INDEPENDENT or _FLAGGED for each test idx[k] = (*S, i, j),
+    """0 (dependent), 1 (independent) or _FLAGGED for each test idx[k] = (*S, i, j),
     in blocks that stack at most _BLOCK_BYTES of submatrices."""
     rows = max(1, _BLOCK_BYTES // (8 * idx.shape[1] ** 2))
     out = np.empty(len(idx), dtype=np.int8)
@@ -259,11 +260,10 @@ def _skeleton(
     matrix, and the separating set of each removed edge (a, b), a < b, as a
     tuple of ranks.
 
-    At level l >= 1, edge (a, b) falls at the first size-l subset of a's
+    At level l, edge (a, b) falls at the first size-l subset of a's
     neighbours at the level's start, b excluded, in combination order of
     the ranks, found independent; if there is none, at the first such
-    subset of b's. Level 0 is one decision over all pairs; `_level` runs
-    the deeper levels.
+    subset of b's. `_level` runs each level; level 0 has one set, ().
     """
     q = _z_quantile(alpha)
     n = len(names)
@@ -288,21 +288,7 @@ def _skeleton(
 
     level = 0
     while (adj.sum(axis=1) > level).any() and d - level - 3 > 0:
-        dof = d - level - 3
-        if level == 0:
-            i, j = np.triu_indices(n, 1)
-            codes = np.zeros((n, n), dtype=np.int8)
-            codes[i, j] = _decide(corr_r, np.stack([i, j], axis=1), dof, q)
-            codes |= codes.T
-            for a, b in np.argwhere(np.triu(codes == _INDEPENDENT)).tolist():
-                sepset[a, b] = ()
-            adj &= codes != _INDEPENDENT
-            # flagged pairs, one at a time in skeleton order
-            for a, b in zip(*np.nonzero(codes == _FLAGGED)):
-                if adj[a, b]:
-                    separated(a, b, [()], [_FLAGGED])
-        else:
-            _level(corr_r, adj, level, dof, q, separated)
+        _level(corr_r, adj, level, d - level - 3, q, separated)
         level += 1
     return adj, sepset
 
@@ -310,7 +296,7 @@ def _skeleton(
 def _level(
     corr: np.ndarray, adj: np.ndarray, level: int, dof: int, q: float, separated
 ) -> None:
-    """One PC-stable level >= 1 over the rank-ordered boolean adjacency
+    """One PC-stable level over the rank-ordered boolean adjacency
     ``adj``; ``separated`` removes an edge at the first independent set it
     is given. The sets come from each node's neighbours at the level's start.
     A first pass tests each edge (a, b), a < b, from a; a second tests the

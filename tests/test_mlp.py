@@ -429,6 +429,10 @@ def malformed_models(doc):
     yield "ragged W1", dumps_json({**doc, "weights": {**doc["weights"], "W1": [[1.0], [1.0, 2.0]]}})
     yield "shift not a number", dumps_json({**doc, "shift": "x"})
     yield "negative shift", dumps_json({**doc, "shift": -3})
+    # a shift is an integer as written, not a float, a bool or a string
+    yield "fractional shift", dumps_json({**doc, "shift": 2.7})
+    yield "boolean shift", dumps_json({**doc, "shift": True})
+    yield "string shift", dumps_json({**doc, "shift": "3"})
 
 
 def test_load_rejects_malformed_models(tmp_path):

@@ -24,6 +24,7 @@ from perfdiag.errors import (
     PipelineStageError,
     TooFewSamples,
 )
+from perfdiag.evaluation import prf1
 from perfdiag.ingest import GenConfig
 from perfdiag.pipeline import (
     DETECTOR_SETTINGS,
@@ -101,7 +102,13 @@ def test_config_rejects_bad_train_values(tmp_path, train):
      ("select", {"r_min": "0.5"}, "select.r_min"),
      (None, {"out": 5}, "out"),
      ("detect", {"nu": "0.1"}, "detect.nu"),
-     ("detect", {"gamma": "x"}, "detect.gamma")],
+     ("detect", {"gamma": "x"}, "detect.gamma"),
+     # checked whichever the select method, not only when PCA runs
+     ("select", {"method": "pca", "variance": 1.5}, "select.variance must lie in"),
+     ("select", {"method": "pca", "variance": 0}, "select.variance must lie in"),
+     ("select", {"method": "pca", "variance": -1}, "select.variance must lie in"),
+     ("select", {"variance": float("nan")}, "select.variance must lie in"),
+     ("select", {"method": "correlation", "variance": 2.0}, "select.variance must lie in")],
 )
 def test_config_rejects_bad_values_at_load(tmp_path, section, values, where):
     # checked before any stage runs, so nothing is written to the out dir
@@ -208,6 +215,17 @@ def test_config_hash_ignores_output_directory():
     c = PipelineConfig(data={"generate": GEN}, out="first", seed=1)
     assert a.config_hash() == b.config_hash()
     assert a.config_hash() != c.config_hash()
+
+
+def test_detect_settings_at_their_defaults_are_no_override():
+    bare = PipelineConfig.from_dict({"data": {"generate": GEN}})
+    spelled = PipelineConfig.from_dict({"data": {"generate": GEN}, "detect": {
+        "knn_k": 5, "lof_k": 20, "n_trees": 100, "subsample": 256, "nu": None, "gamma": None}})
+    assert spelled == bare
+    assert spelled.config_hash() == bare.config_hash()
+    # a value off its default still counts
+    assert PipelineConfig.from_dict({"data": {"generate": GEN}, "detect": {
+        "knn_k": 5, "lof_k": 21}}).detector_overrides == {"lof_k": 21}
 
 
 def test_load_config_applies_flag_overrides(tmp_path):
@@ -422,6 +440,27 @@ def test_deep_run_writes_model_and_test_side_verdicts(tmp_path):
     cut = math.ceil(0.5 * GEN["n_samples"] - 1e-9)
     assert len(rows) == GEN["n_samples"] - cut
     assert int(rows[0]["timestamp"]) == cut
+
+
+@pytest.mark.parametrize("ensemble, shift", [("weighted", 0), ("deep", 2)])
+def test_report_scores_the_rows_written_to_verdicts(tmp_path, ensemble, shift):
+    doc = {"data": {"generate": GEN}, "seed": 11, "ensemble": ensemble, "shift": shift,
+           "detect": {"anomaly_fraction": 0.15}}
+    cfg = write_config(tmp_path, doc)
+    out, gen = tmp_path / "out", tmp_path / "gen"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["gen", "--config", str(cfg), "--out", str(gen)]) == 0
+    with open(gen / "labels.csv", newline="") as fh:
+        label_at = {int(r["timestamp"]): int(r["label"]) for r in csv.DictReader(fh)}
+    with open(out / "verdicts.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    verdicts = [int(r["verdict"]) for r in rows]
+    truth = [label_at[int(r["timestamp"])] for r in rows]
+    assert 0 < sum(truth) < len(truth)
+    detection = json.loads((out / "report.json").read_text())["detection"]
+    assert prf1(verdicts, truth) == (
+        detection["precision"], detection["recall"], detection["f1"]
+    )
 
 
 @pytest.mark.parametrize("ensemble", ["max", "deep"])
