@@ -252,10 +252,10 @@ def generate(config: GenConfig, seed: int) -> tuple[MetricFrame, LabelSeries, Gr
             w = -w
         weights[(i, j)] = w
 
-    in_deg = np.zeros(config.n_metrics, dtype=np.int64)
-    for _, j in pairs:
-        in_deg[j] += 1
-    sources = [i for i in range(config.n_metrics) if in_deg[i] == 0]
+    parents: list[list[int]] = [[] for _ in range(config.n_metrics)]
+    for i, j in pairs:
+        parents[j].append(i)
+    sources = [j for j in range(config.n_metrics) if not parents[j]]
 
     if config.root_causes is not None:
         rc_idx = sorted(names.index(r) for r in config.root_causes)
@@ -273,9 +273,6 @@ def generate(config: GenConfig, seed: int) -> tuple[MetricFrame, LabelSeries, Gr
         for i in rc_idx:
             noise[start : end + 1, i] += shift
 
-    parents: list[list[int]] = [[] for _ in range(config.n_metrics)]
-    for i, j in pairs:
-        parents[j].append(i)
     values = np.empty((d, config.n_metrics), dtype=np.float64)
     for j in range(config.n_metrics):
         col = noise[:, j].copy()

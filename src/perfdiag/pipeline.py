@@ -506,7 +506,10 @@ def _rank(run: _Run, graph: CausalGraph) -> RootCauseRanking:
 
 def rank_graph(config: PipelineConfig, path) -> RootCauseRanking:
     """`perfdiag rca --graph`: rank the graph JSON at ``path`` as `_rca` ranks its own."""
-    return _rank(_Run(config), CausalGraph.load(path))
+    graph = CausalGraph.load(path)
+    if INDICATOR not in graph.nodes:
+        raise ParseError(f"{path}: graph has no {INDICATOR!r} node")
+    return _rank(_Run(config), graph)
 
 
 def _rca_span(timeline: np.ndarray) -> np.ndarray:

@@ -13,7 +13,8 @@ The skeleton is PC-stable (Colombo & Maathuis, JMLR 2014): each level
 draws its conditioning sets from the adjacency at the level's start, so
 which edges fall does not depend on the names or the column order. At
 each level, level 0 included, every open edge decides its next block of
-sets in the same batched calls, round after round. A test takes
+sets in the same batched calls, round after round, and every edge found
+independent in a batch falls in one array step. A test takes
 rho(i, j | S) from the 2 x 2 Schur complement left after eliminating S; a
 near-singular set is decided alone by partial_correlation. The graph and
 the separating sets are those of testing one set at a time.
@@ -33,7 +34,8 @@ import numpy as np
 from ..core import load_json, standardize
 from ..errors import InvalidConfig, ParseError, SingularSubmatrixWarning
 
-# a decided block stacks at most this many bytes of correlation submatrices
+# a batch of tests stacks at most this many bytes of correlation
+# submatrices; `_level` alone bounds a batch
 _BLOCK_BYTES = 1 << 19
 # conditioning sets each pair decides in the first round of a PC level
 _FIRST_BLOCK = 256
@@ -102,9 +104,9 @@ class CausalGraph:
 
     @classmethod
     def from_dict(cls, d: dict, source: str = "graph") -> "CausalGraph":
-        """The graph of a `to_dict` document. A missing key, or one that is
-        not a list of names or of name pairs, raises a ParseError naming
-        ``source``."""
+        """The graph of a `to_dict` document. A missing key, a key that is
+        not a list of names or of name pairs, or a graph the constructor
+        rejects raises a ParseError naming ``source``."""
         def pair(e):
             return isinstance(e, list) and len(e) == 2 and all(isinstance(s, str) for s in e)
 
@@ -117,11 +119,14 @@ class CausalGraph:
                 raise ParseError(f"{source}: missing key {key!r}")
             if not isinstance(d[key], list) or not all(map(ok, d[key])):
                 raise ParseError(f"{source}: {key!r} must be a list of {what}")
-        return cls(
-            nodes=tuple(d["nodes"]),
-            directed=tuple(map(tuple, d["directed"])),
-            undirected=tuple(map(tuple, d["undirected"])),
-        )
+        try:
+            return cls(
+                nodes=tuple(d["nodes"]),
+                directed=tuple(map(tuple, d["directed"])),
+                undirected=tuple(map(tuple, d["undirected"])),
+            )
+        except InvalidConfig as exc:
+            raise ParseError(f"{source}: {exc}") from None
 
     @classmethod
     def load(cls, path) -> "CausalGraph":
@@ -201,14 +206,9 @@ def _schur_rho(corr: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _decide(corr: np.ndarray, idx: np.ndarray, dof: int, q: float) -> np.ndarray:
-    """0 (dependent), 1 (independent) or _FLAGGED for each test idx[k] = (*S, i, j),
-    in blocks that stack at most _BLOCK_BYTES of submatrices."""
-    rows = max(1, _BLOCK_BYTES // (8 * idx.shape[1] ** 2))
-    out = np.empty(len(idx), dtype=np.int8)
-    for start in range(0, len(idx), rows):
-        rho, flagged = _schur_rho(corr, idx[start:start + rows])
-        out[start:start + len(rho)] = np.where(flagged, _FLAGGED, _independent(rho, dof, q))
-    return out
+    """0 (dependent), 1 (independent) or _FLAGGED for each test idx[k] = (*S, i, j)."""
+    rho, flagged = _schur_rho(corr, idx)
+    return np.where(flagged, np.int8(_FLAGGED), _independent(rho, dof, q))
 
 
 def _subsets(n: int, level: int, start: int, stop: int) -> np.ndarray:
@@ -266,56 +266,52 @@ def _skeleton(
     subset of b's. `_level` runs each level; level 0 has one set, ().
     """
     q = _z_quantile(alpha)
-    n = len(names)
-    order = sorted(range(n), key=names.__getitem__)
-    corr_r = corr[np.ix_(order, order)]
-    adj = ~np.eye(n, dtype=bool)
+    order = np.array(sorted(range(len(names)), key=names.__getitem__))  # input column by rank
+    adj = ~np.eye(len(order), dtype=bool)
     sepset: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def separated(a, b, subsets, codes) -> bool:
-        """Remove edge (a, b) at the first of ``subsets`` found independent;
-        a flagged set is decided alone on the input-order ``corr``."""
-        for r in np.flatnonzero(codes):
-            S = tuple(int(s) for s in subsets[r])
-            if codes[r] == _FLAGGED:
-                rho = partial_correlation(corr, order[a], order[b], [order[s] for s in S])
-                if not _independent(rho, d - len(S) - 3, q):
-                    continue
-            adj[a, b] = adj[b, a] = False
-            sepset[int(min(a, b)), int(max(a, b))] = S
-            return True
-        return False
-
     level = 0
     while (adj.sum(axis=1) > level).any() and d - level - 3 > 0:
-        _level(corr_r, adj, level, d - level - 3, q, separated)
+        _level(corr, order, adj, sepset, level, d - level - 3, q)
         level += 1
     return adj, sepset
 
 
 def _level(
-    corr: np.ndarray, adj: np.ndarray, level: int, dof: int, q: float, separated
+    corr: np.ndarray, order: np.ndarray, adj: np.ndarray, sepset: dict,
+    level: int, dof: int, q: float,
 ) -> None:
-    """One PC-stable level over the rank-ordered boolean adjacency
-    ``adj``; ``separated`` removes an edge at the first independent set it
-    is given. The sets come from each node's neighbours at the level's start.
-    A first pass tests each edge (a, b), a < b, from a; a second tests the
-    edges left from b. A pass runs in rounds: each open pair decides its next
-    block of sets in shared `_decide` batches, and leaves when its edge falls
-    or its sets run out. Blocks double from _FIRST_BLOCK sets to a batch."""
+    """One PC-stable level over the rank-ordered boolean adjacency ``adj``,
+    testing on the input-order ``corr`` through ``order``, the input column
+    of each rank. The sets come from each node's neighbours at the level's
+    start. A first pass tests each edge (a, b), a < b, from a; a second tests
+    the edges left from b. A pass runs in rounds: each open pair decides its
+    next block of sets in shared batches of at most ``rows`` tests, and leaves
+    when its edge falls or its sets run out. Blocks double from _FIRST_BLOCK
+    sets to ``rows``. In a batch, a flagged set is decided alone while its
+    pair has no earlier independent set; then every pair with one falls at
+    the first, in one array step."""
     rows = max(1, _BLOCK_BYTES // (8 * (level + 2) ** 2))
     nbrs = [np.flatnonzero(row) for row in adj]
     total = [comb(max(len(nb) - 1, 0), level) for nb in nbrs]
 
     def settle(pending) -> None:
         idx = np.concatenate([_tests(S, a, bs[:, None]) for a, bs, S in pending])
-        codes, offset = _decide(corr, idx, dof, q), 0
-        for a, bs, S in pending:
-            block = codes[offset:offset + S.shape[0] * S.shape[1]].reshape(S.shape[:2])
-            offset += block.size
-            for p in np.flatnonzero(block.any(axis=1)):
-                if separated(a, bs[p], S[p], block[p]):
-                    pairs[a, bs[p]] = False
+        cols = order[idx]
+        codes = _decide(corr, cols, dof, q)
+        if not codes.any():  # every set dependent, as in most deep-level batches
+            return
+        pair = idx[:, -2] * len(adj) + idx[:, -1]
+        for k in np.flatnonzero(codes == _FLAGGED).tolist():
+            if pair[k] not in pair[:k][codes[:k] == 1]:  # no earlier independent set
+                *S, i, j = cols[k].tolist()
+                codes[k] = _independent(partial_correlation(corr, i, j, S), dof, q)
+        # each pair's first independent set
+        hit = np.flatnonzero(codes == 1)
+        hit = hit[np.unique(pair[hit], return_index=True)[1]]
+        a, b = idx[hit, -2], idx[hit, -1]
+        adj[a, b] = adj[b, a] = pairs[a, b] = False
+        for a, b, S in zip(a.tolist(), b.tolist(), idx[hit, :-2].tolist()):
+            sepset[min(a, b), max(a, b)] = tuple(S)
 
     for side in (np.triu, np.tril):
         pairs, start, size = side(adj), 0, min(_FIRST_BLOCK, rows)
@@ -325,14 +321,14 @@ def _level(
                 table = _subsets(len(nbrs[a]) - 1, level, start, start + size)
                 # the sets of pair (a, nbrs[a][t]) skip position t of nbrs[a]
                 t = np.flatnonzero(pairs[a, nbrs[a]])[:, None, None]
-                step = max(1, rows // len(table))  # pairs per pending chunk
-                for k in range(0, len(t), step):
-                    tk = t[k:k + step]
-                    pending.append((a, nbrs[a][tk[:, 0, 0]], nbrs[a][table + (table >= tk)]))
-                    held += len(tk) * len(table)
-                    if held >= rows:
+                while len(t):
+                    if held + len(table) > rows:
                         settle(pending)
                         pending, held = [], 0
+                    room = (rows - held) // len(table)  # pairs that fit in the batch
+                    tk, t = t[:room], t[room:]
+                    pending.append((a, nbrs[a][tk[:, 0, 0]], nbrs[a][table + (table >= tk)]))
+                    held += len(tk) * len(table)
             if pending:
                 settle(pending)
             start, size = start + size, min(2 * size, rows)

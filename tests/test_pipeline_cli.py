@@ -674,14 +674,20 @@ def test_cli_rca_on_a_runs_graph_writes_the_runs_ranking(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_rca_rejects_a_malformed_graph(tmp_path, capsys):
+@pytest.mark.parametrize("text, message", [
+    ('{"nodes": ["indicator", "a"], "directed": [["a", "indicator"]]}',
+     "missing key 'undirected'"),
+    ('{"nodes": ["a", "b"], "directed": [["a", "b"]], "undirected": []}',
+     "graph has no 'indicator' node"),
+], ids=["missing key", "no indicator"])
+def test_cli_rca_rejects_a_malformed_graph(tmp_path, capsys, text, message):
     gpath = tmp_path / "graph.json"
-    gpath.write_text('{"nodes": ["indicator", "a"], "directed": [["a", "indicator"]]}')
+    gpath.write_text(text)
     cfg = write_config(tmp_path, {"data": {"generate": GEN}})
     argv = ["rca", "--config", str(cfg), "--graph", str(gpath), "--out", str(tmp_path / "o")]
     err = stage_error(argv, capsys)
     assert err["stage"] == "rca" and err["type"] == "ParseError"
-    assert err["message"] == f"{gpath}: missing key 'undirected'"
+    assert err["message"] == f"{gpath}: {message}"
 
 
 @pytest.mark.parametrize("name, message", [

@@ -94,7 +94,13 @@ def test_graph_round_trip(tmp_path):
      ('{"nodes": "abc", "directed": [], "undirected": []}', "'nodes' must be a list of names"),
      ('{"nodes": ["a", "b"], "directed": ["ab"], "undirected": []}', "'directed' must be"),
      ('{"nodes": ["a", "b"], "directed": [], "undirected": [["a"]]}', "'undirected' must be"),
-     ('{"nodes": [1, 2], "directed": [], "undirected": []}', "'nodes' must be")],
+     ('{"nodes": [1, 2], "directed": [], "undirected": []}', "'nodes' must be"),
+     # well-formed documents of graphs the constructor rejects
+     ('{"nodes": ["a", "b", "c"], "directed": [["a", "b"], ["b", "c"], ["c", "a"]], '
+      '"undirected": []}', "directed part contains a cycle"),
+     ('{"nodes": ["a", "b", "a"], "directed": [], "undirected": []}', "duplicate node names"),
+     ('{"nodes": ["a", "b"], "directed": [["a", "b"], ["b", "a"]], "undirected": []}',
+      "edge directed both ways")],
 )
 def test_graph_load_rejects_malformed_documents(tmp_path, text, message):
     path = tmp_path / "graph.json"
@@ -318,27 +324,44 @@ SKELETON_CASES = {
     [("factors", 0.01), ("factors", 0.05), ("collinear", 0.05),
      ("factors32", 0.05), ("near_singular", 0.05)],
 )
-def test_batched_skeleton_matches_one_test_per_call(case, alpha, monkeypatch):
+def test_batched_skeleton_matches_one_test_per_call(case, alpha, sent):
     data, names = SKELETON_CASES[case]()
-    alone = []  # levels of the sets the skeleton decides through partial_correlation
-
-    def counted(corr, i, j, S):
-        alone.append(len(S))
-        return partial_correlation(corr, i, j, S)
-
-    monkeypatch.setattr(graph_module, "partial_correlation", counted)
     got, expected = skeletons(_correlation_matrix(data), data.shape[0], names, alpha)
     assert got == expected
     assert (len(expected[1]) > 0) == (case == "collinear")
+    # levels of the sets the skeleton decides through partial_correlation
+    alone = [len(S) for _, _, S in sent["skeleton"].elements()]
     if case == "near_singular":
         assert any(level >= 1 for level in alone)
+    # a flagged set is decided alone only where one test per call decides it
+    assert not sent["skeleton"] - sent["reference"]
 
 
-def test_batched_skeleton_matches_one_test_per_call_on_random_sems():
+def test_batched_skeleton_matches_one_test_per_call_on_random_sems(sent):
     for seed in range(100):
         X, names, alpha = random_sem(seed)
         got, expected = skeletons(_correlation_matrix(X), len(X), names, alpha)
         assert got == expected, seed
+        assert not sent["skeleton"] - sent["reference"], seed
+        sent["skeleton"].clear()
+        sent["reference"].clear()
+
+
+@pytest.fixture
+def sent(monkeypatch):
+    """The (i, j, S) of each partial_correlation call `_skeleton` and
+    `reference_skeleton` make, as a multiset per skeleton."""
+    calls = {"skeleton": Counter(), "reference": Counter()}
+
+    def recorder(key, call=partial_correlation):
+        def record(corr, i, j, S):
+            calls[key][i, j, tuple(S)] += 1
+            return call(corr, i, j, S)
+        return record
+
+    monkeypatch.setattr(graph_module, "partial_correlation", recorder("skeleton"))
+    monkeypatch.setitem(globals(), "partial_correlation", recorder("reference"))
+    return calls
 
 
 def skeletons(corr, d, names, alpha):
@@ -568,8 +591,9 @@ def test_subset_rows_follow_combination_order(n, level, start, stop):
 
 
 def test_skeleton_memory_bounded():
-    # measured 1.25 MiB: one 512 KiB block of stacked submatrices, its
-    # elimination temporaries and a round's pending index rows
+    # measured 1.4 MiB: one 512 KiB batch of stacked submatrices, its
+    # elimination temporaries, and the batch's index rows by rank and by
+    # input column
     data, names = factor_data(32)
     corr = _correlation_matrix(data)
     tracemalloc.start()
