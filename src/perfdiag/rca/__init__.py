@@ -1,6 +1,6 @@
 """Causal-graph construction and root-cause localization."""
 
-from .graph import CausalGraph, partial_correlation, pc_build
+from .graph import CausalGraph, pc_build
 from .localize import (
     INDICATOR,
     RootCauseRanking,
@@ -17,7 +17,6 @@ __all__ = [
     "ac_at_k",
     "avg_at_k",
     "localize",
-    "partial_correlation",
     "pc_build",
     "random_walk",
 ]

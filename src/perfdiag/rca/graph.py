@@ -15,9 +15,11 @@ which edges fall does not depend on the names or the column order. At
 each level, level 0 included, every open edge decides its next block of
 sets in the same batched calls, round after round, and every edge found
 independent in a batch falls in one array step. A test takes
-rho(i, j | S) from the 2 x 2 Schur complement left after eliminating S; a
-near-singular set is decided alone by partial_correlation. The graph and
-the separating sets are those of testing one set at a time.
+rho(i, j | S) from the 2 x 2 Schur complement left after eliminating S. A
+near-singular set, one with a pivot or final determinant at most
+_PIVOT_MIN, counts as dependent: what it leaves of i or j is rounding
+noise, no evidence of independence. The graph and the separating sets
+are those of testing one set at a time.
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ _FIRST_BLOCK = 256
 # a pivot or final 2 x 2 determinant at or below this flags a set as near
 # singular
 _PIVOT_MIN = 1e-10
-# _decide's code for a near-singular set; 0 is dependent and 1 independent
-_FLAGGED = 2
 # subset position tables by (candidate count, level), kept while small
 _TABLE_CACHE_BYTES = 1 << 16
 _SUBSET_TABLES: dict[tuple[int, int], np.ndarray] = {}
@@ -146,7 +146,8 @@ def _correlation_matrix(data: np.ndarray) -> np.ndarray:
 
 
 def partial_correlation(corr: np.ndarray, i: int, j: int, S: Sequence[int]) -> float:
-    """rho(i, j | S) from the inverse of the correlation submatrix."""
+    """rho(i, j | S) from the inverse of the correlation submatrix: the
+    scalar form of the skeleton's test, kept as `_schur_rho`'s reference."""
     idx = [i, j, *S]
     sub = corr[np.ix_(idx, idx)]
     try:
@@ -206,9 +207,10 @@ def _schur_rho(corr: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _decide(corr: np.ndarray, idx: np.ndarray, dof: int, q: float) -> np.ndarray:
-    """0 (dependent), 1 (independent) or _FLAGGED for each test idx[k] = (*S, i, j)."""
+    """Whether each test idx[k] = (*S, i, j) finds i and j independent given
+    S; a near-singular set never does."""
     rho, flagged = _schur_rho(corr, idx)
-    return np.where(flagged, np.int8(_FLAGGED), _independent(rho, dof, q))
+    return _independent(rho, dof, q) & ~flagged
 
 
 def _subsets(n: int, level: int, start: int, stop: int) -> np.ndarray:
@@ -263,51 +265,45 @@ def _skeleton(
     At level l, edge (a, b) falls at the first size-l subset of a's
     neighbours at the level's start, b excluded, in combination order of
     the ranks, found independent; if there is none, at the first such
-    subset of b's. `_level` runs each level; level 0 has one set, ().
+    subset of b's. A near-singular set is never found independent. `_level`
+    runs each level on ``corr`` with rows and columns in rank order; level
+    0 has one set, ().
     """
     q = _z_quantile(alpha)
-    order = np.array(sorted(range(len(names)), key=names.__getitem__))  # input column by rank
+    order = sorted(range(len(names)), key=names.__getitem__)  # input column by rank
+    corr = corr[np.ix_(order, order)]
     adj = ~np.eye(len(order), dtype=bool)
     sepset: dict[tuple[int, int], tuple[int, ...]] = {}
     level = 0
     while (adj.sum(axis=1) > level).any() and d - level - 3 > 0:
-        _level(corr, order, adj, sepset, level, d - level - 3, q)
+        _level(corr, adj, sepset, level, d - level - 3, q)
         level += 1
     return adj, sepset
 
 
 def _level(
-    corr: np.ndarray, order: np.ndarray, adj: np.ndarray, sepset: dict,
-    level: int, dof: int, q: float,
+    corr: np.ndarray, adj: np.ndarray, sepset: dict, level: int, dof: int, q: float,
 ) -> None:
-    """One PC-stable level over the rank-ordered boolean adjacency ``adj``,
-    testing on the input-order ``corr`` through ``order``, the input column
-    of each rank. The sets come from each node's neighbours at the level's
-    start. A first pass tests each edge (a, b), a < b, from a; a second tests
-    the edges left from b. A pass runs in rounds: each open pair decides its
-    next block of sets in shared batches of at most ``rows`` tests, and leaves
-    when its edge falls or its sets run out. Blocks double from _FIRST_BLOCK
-    sets to ``rows``. In a batch, a flagged set is decided alone while its
-    pair has no earlier independent set; then every pair with one falls at
-    the first, in one array step."""
+    """One PC-stable level over the boolean adjacency ``adj``, with ``corr``
+    and ``adj`` both in rank order. The sets come from each node's
+    neighbours at the level's start. A first pass tests each edge (a, b),
+    a < b, from a; a second tests the edges left from b. A pass runs in
+    rounds: each open pair decides its next block of sets in shared batches
+    of at most ``rows`` tests, and leaves when its edge falls or its sets run
+    out. Blocks double from _FIRST_BLOCK sets to ``rows``. In a batch, every
+    pair with an independent set falls at its first, in one array step; a
+    near-singular set counts as dependent."""
     rows = max(1, _BLOCK_BYTES // (8 * (level + 2) ** 2))
     nbrs = [np.flatnonzero(row) for row in adj]
     total = [comb(max(len(nb) - 1, 0), level) for nb in nbrs]
 
     def settle(pending) -> None:
         idx = np.concatenate([_tests(S, a, bs[:, None]) for a, bs, S in pending])
-        cols = order[idx]
-        codes = _decide(corr, cols, dof, q)
-        if not codes.any():  # every set dependent, as in most deep-level batches
+        hit = np.flatnonzero(_decide(corr, idx, dof, q))
+        if not len(hit):  # every set dependent, as in most deep-level batches
             return
-        pair = idx[:, -2] * len(adj) + idx[:, -1]
-        for k in np.flatnonzero(codes == _FLAGGED).tolist():
-            if pair[k] not in pair[:k][codes[:k] == 1]:  # no earlier independent set
-                *S, i, j = cols[k].tolist()
-                codes[k] = _independent(partial_correlation(corr, i, j, S), dof, q)
         # each pair's first independent set
-        hit = np.flatnonzero(codes == 1)
-        hit = hit[np.unique(pair[hit], return_index=True)[1]]
+        hit = hit[np.unique(idx[hit, -2] * len(adj) + idx[hit, -1], return_index=True)[1]]
         a, b = idx[hit, -2], idx[hit, -1]
         adj[a, b] = adj[b, a] = pairs[a, b] = False
         for a, b, S in zip(a.tolist(), b.tolist(), idx[hit, :-2].tolist()):

@@ -16,7 +16,6 @@ from perfdiag.errors import (
     InvalidConfig,
     NoPredecessorsWarning,
     ParseError,
-    SingularSubmatrixWarning,
 )
 from perfdiag.rca import graph as graph_module
 from perfdiag.rca.graph import (
@@ -253,7 +252,8 @@ def named(skeleton, names):
 def reference_skeleton(corr, d, names, alpha):
     """The PC-stable skeleton with one partial_correlation call per
     conditioning set: each level draws the sets from the adjacency at its
-    start, and tests edge a -- b, a < b, from a's sets first, then b's."""
+    start, and tests edge a -- b, a < b, from a's sets first, then b's. A
+    set that a one-row `_schur_rho` flags is dependent, never tested."""
     q = _z_quantile(alpha)
     col = {n: k for k, n in enumerate(names)}
     adj = {n: set(names) - {n} for n in names}
@@ -266,7 +266,10 @@ def reference_skeleton(corr, d, names, alpha):
                 continue
             for x, y in ((a, b), (b, a)):
                 for S in combinations([c for c in start[x] if c != y], level):
-                    rho = partial_correlation(corr, col[x], col[y], [col[s] for s in S])
+                    cols = [col[s] for s in S]
+                    if flagged(corr, [*cols, col[x], col[y]]):
+                        continue
+                    rho = partial_correlation(corr, col[x], col[y], cols)
                     if abs(rho) >= 1.0:
                         continue
                     z = 0.5 * np.log((1.0 + rho) / (1.0 - rho))
@@ -326,48 +329,59 @@ SKELETON_CASES = {
 )
 def test_batched_skeleton_matches_one_test_per_call(case, alpha, sent):
     data, names = SKELETON_CASES[case]()
-    got, expected = skeletons(_correlation_matrix(data), data.shape[0], names, alpha)
+    corr = _correlation_matrix(data)
+    got, expected = skeletons(corr, data.shape[0], names, alpha)
     assert got == expected
-    assert (len(expected[1]) > 0) == (case == "collinear")
-    # levels of the sets the skeleton decides through partial_correlation
-    alone = [len(S) for _, _, S in sent["skeleton"].elements()]
+    # the Schur kernel is the skeleton's only CI test
+    assert not sent and got[1] == []
+    assert not flagged_sepsets(corr, names, got[0][1])
     if case == "near_singular":
-        assert any(level >= 1 for level in alone)
-    # a flagged set is decided alone only where one test per call decides it
-    assert not sent["skeleton"] - sent["reference"]
+        # each fell at level 2 on a set holding m1, m2 and m3 ~ m1 + m2,
+        # with |rho| < 1e-4 left of rounding noise
+        adj = got[0][0]
+        for a, b in [("m0", "m1"), ("m1", "m4"), ("m1", "m7"), ("m2", "m5"),
+                     ("m2", "m7"), ("m3", "m4"), ("m3", "m6"), ("m3", "m7")]:
+            assert b in adj[a], (a, b)
 
 
 def test_batched_skeleton_matches_one_test_per_call_on_random_sems(sent):
     for seed in range(100):
         X, names, alpha = random_sem(seed)
-        got, expected = skeletons(_correlation_matrix(X), len(X), names, alpha)
+        corr = _correlation_matrix(X)
+        got, expected = skeletons(corr, len(X), names, alpha)
         assert got == expected, seed
-        assert not sent["skeleton"] - sent["reference"], seed
-        sent["skeleton"].clear()
-        sent["reference"].clear()
+        assert not sent and got[1] == [], seed
+        assert not flagged_sepsets(corr, names, got[0][1]), seed
 
 
 @pytest.fixture
 def sent(monkeypatch):
-    """The (i, j, S) of each partial_correlation call `_skeleton` and
-    `reference_skeleton` make, as a multiset per skeleton."""
-    calls = {"skeleton": Counter(), "reference": Counter()}
+    """The (i, j, S) of each partial_correlation call `_skeleton` makes."""
+    calls = Counter()
 
-    def recorder(key, call=partial_correlation):
-        def record(corr, i, j, S):
-            calls[key][i, j, tuple(S)] += 1
-            return call(corr, i, j, S)
-        return record
+    def record(corr, i, j, S):
+        calls[i, j, tuple(S)] += 1
+        return partial_correlation(corr, i, j, S)
 
-    monkeypatch.setattr(graph_module, "partial_correlation", recorder("skeleton"))
-    monkeypatch.setitem(globals(), "partial_correlation", recorder("reference"))
+    monkeypatch.setattr(graph_module, "partial_correlation", record)
     return calls
+
+
+def flagged(corr, test):
+    """Whether `_schur_rho` flags the one test (*S, i, j) of input columns."""
+    return bool(_schur_rho(corr, np.array([test]))[1][0])
+
+
+def flagged_sepsets(corr, names, sepset):
+    """The separating sets, by name pair, that `_schur_rho` flags."""
+    col = {n: k for k, n in enumerate(names)}
+    return [(a, b) for (a, b), S in sepset.items()
+            if flagged(corr, [*map(col.get, S), col[a], col[b]])]
 
 
 def skeletons(corr, d, names, alpha):
     """`_skeleton`'s output by name, then `reference_skeleton`'s, each with
-    the sorted messages of the warnings it raised. Rounds, not edges, set
-    the order in which the batched skeleton decides flagged sets."""
+    the sorted messages of the warnings it raised."""
     runs = []
     for build in (lambda: named(_skeleton(corr, d, names, alpha), names),
                   lambda: reference_skeleton(corr, d, names, alpha)):
@@ -394,7 +408,7 @@ def test_skeleton_does_not_depend_on_names(case):
     ranked = sorted(names)
     back = dict(zip(ranked[::-1], ranked))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SingularSubmatrixWarning)
+        warnings.simplefilter("error")
         g = pc_build(data, names, alpha)
         renamed = pc_build(data, [back[n] for n in names], alpha)
     assert adjacency(renamed, back.get) == adjacency(g)
@@ -497,8 +511,7 @@ def random_sem(seed):
 def test_orientation_matches_name_set_reference():
     hits = Counter()
     with warnings.catch_warnings():
-        # copied columns make singular submatrices
-        warnings.simplefilter("ignore", SingularSubmatrixWarning)
+        warnings.simplefilter("error")
         for seed in range(300):
             X, names, alpha = random_sem(seed)
             adj, sepset = named(_skeleton(_correlation_matrix(X), len(X), names, alpha), names)
@@ -591,9 +604,9 @@ def test_subset_rows_follow_combination_order(n, level, start, stop):
 
 
 def test_skeleton_memory_bounded():
-    # measured 1.4 MiB: one 512 KiB batch of stacked submatrices, its
-    # elimination temporaries, and the batch's index rows by rank and by
-    # input column
+    # measured 1.2 MiB: one 512 KiB batch of stacked submatrices, its
+    # elimination temporaries, and the batch's index rows, held once in
+    # rank order
     data, names = factor_data(32)
     corr = _correlation_matrix(data)
     tracemalloc.start()
