@@ -19,7 +19,7 @@ from ..core import SelectedFrame, check_fields
 from ..errors import InvalidConfig, NumericalFailure, TooFewSamples
 from ..seeding import derived_rng
 from .iforest import iforest_scores
-from .neighbors import NeighborPass, knn_scores, lof_scores
+from .neighbors import knn_scores, lof_scores, neighbor_pass
 from .ocsvm import ocsvm_scores
 
 KINDS = ("iforest", "knn", "lof", "ocsvm")
@@ -45,9 +45,10 @@ class DetectorSpec:
             raise InvalidConfig(f"unknown detector kind {self.kind!r}")
         if not 0.0 < self.anomaly_fraction < 1.0:
             raise InvalidConfig("detect.anomaly_fraction must lie in (0, 1)")
-        for name in ("n_trees", "subsample", "knn_k", "lof_k"):
-            if getattr(self, name) < 1:
-                raise InvalidConfig(f"detect.{name} must be >= 1, got {getattr(self, name)!r}")
+        # a subsample of one row has c(1) = 0, so its iforest score is 2^(0/0)
+        for name, least in (("n_trees", 1), ("subsample", 2), ("knn_k", 1), ("lof_k", 1)):
+            if (value := getattr(self, name)) < least:
+                raise InvalidConfig(f"detect.{name} must be >= {least}, got {value!r}")
         if self.nu is not None and not 0.0 < self.nu < 1.0:
             raise InvalidConfig(f"detect.nu must lie in (0, 1), got {self.nu!r}")
         if self.gamma is not None and not 0.0 < self.gamma < math.inf:
@@ -73,12 +74,11 @@ class ScoreVector:
         object.__setattr__(self, "values", vals)
 
 
-def fit_score(
-    spec: DetectorSpec, data: SelectedFrame, neighbors: Optional[NeighborPass] = None
-) -> ScoreVector:
+def fit_score(spec: DetectorSpec, data: SelectedFrame, lists=None) -> ScoreVector:
     """Fit one base learner on the full series and score every timestamp.
 
-    ``neighbors``, a `NeighborPass` of ``data.values``, is read by the
+    ``lists``, a `neighbor_pass` of ``data.values`` that a pipeline run
+    makes after the isolation forest and drops after LOF, is read by the
     distance learners instead of running a pass of their own.
     """
     X = data.values
@@ -89,9 +89,9 @@ def fit_score(
         rng = derived_rng(spec.seed, "iforest")
         scores = iforest_scores(X, rng, n_trees=spec.n_trees, subsample=spec.subsample)
     elif spec.kind == "knn":
-        scores = knn_scores(X, spec.knn_k, neighbors)
+        scores = knn_scores(X, spec.knn_k, lists)
     elif spec.kind == "lof":
-        scores = lof_scores(X, spec.lof_k, neighbors)
+        scores = lof_scores(X, spec.lof_k, lists)
     else:
         rng = derived_rng(spec.seed, "ocsvm")
         nu = spec.anomaly_fraction if spec.nu is None else spec.nu

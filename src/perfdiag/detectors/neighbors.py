@@ -1,15 +1,16 @@
 """Distance-based detectors: k-th-neighbor distance (KNN) and LOF.
 
-A run makes one pass of ``_neighbors`` (a `NeighborPass`) at the larger
-of the two learners' k, and each learner reads its own k from it. The
-pass screens pairs with the Gram identity
-||c_i - c_j||^2 = s_i + s_j - 2 c_i.c_j on column-centred rows, then
-re-ranks only the candidates with the exact (x - y)^2 expansion on the
-original rows. The screen keeps every pair within a float64 rounding
-bound of each row's k-th smallest Gram value (derived in ``_neighbors``),
-so it can add candidates but never lose a neighbour: every returned
-distance is the exact expansion, scores match a brute-force oracle, and
-they do not depend on how BLAS orders its sums.
+Both learners read one `neighbor_pass` of X, run at the larger of their
+k. A pipeline run makes that pass once, after the isolation forest, and
+drops it after LOF; a learner called without one runs its own. The pass
+screens pairs with the Gram identity ||c_i - c_j||^2 = s_i + s_j -
+2 c_i.c_j on column-centred rows, then re-ranks only the candidates with
+the exact (x - y)^2 expansion on the original rows. The screen keeps
+every pair within a float64 rounding bound of each row's k-th smallest
+Gram value (derived in `neighbor_pass`), so it can add candidates but
+never lose a neighbour: every returned distance is the exact expansion,
+scores match a brute-force oracle, and they do not depend on how BLAS
+orders its sums.
 
 Memory is bounded by a fixed byte budget: the Gram matrix is built one
 block of rows at a time, each block at most ``_BLOCK_BYTES`` (1 MiB) unless
@@ -26,8 +27,6 @@ block of rows at a time, not row by row, and round exactly as a per-row
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -50,17 +49,18 @@ def _pair_distances(X: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.nda
     return out
 
 
-def _neighbors(X: np.ndarray, ks):
+def neighbor_pass(X: np.ndarray, ks):
     """Exact k-distances and tie-inclusive neighbourhoods of every row.
 
-    The pass runs at k = max(ks). Returns (kdists, indptr, indices, dist):
-    kdists[j] holds every row's exact j-distance, for each j in ks. Row p's
-    neighbourhood is indices[indptr[p]:indptr[p + 1]]: every other row
-    within kdists[k][p] of p, in ascending index order, with its distance
-    from p in dist.
+    The pass runs at k, the largest j of ks that X has room for (j < rows).
+    Returns (kdists, indptr, indices, dist): kdists[j] holds every row's
+    exact j-distance, for each such j. Row p's neighbourhood is
+    indices[indptr[p]:indptr[p + 1]]: every other row within kdists[k][p]
+    of p, in ascending index order, with its distance from p in dist.
     """
-    k = max(ks)
     d, f = X.shape
+    ks = [j for j in ks if j < d]
+    k = max(ks)
     C = X - X.mean(axis=0)
     s = np.einsum("ij,ij->i", C, C)
     # Screen margin. The screen ranks row i by G_ij = s_j - 2 c_i.c_j: in
@@ -136,49 +136,6 @@ def _neighbors(X: np.ndarray, ks):
     return kdists, indptr, np.concatenate(indices), np.concatenate(dists)
 
 
-class NeighborPass:
-    """One `_neighbors` pass of X, shared by learners that each read one k of ``ks``.
-
-    The pass runs on the first read, so its time counts under the learner
-    that makes it, at the largest k in ``ks`` that X has room for (k < rows).
-    Its tie-inclusive lists hold every row within that k-distance, so a
-    smaller k's neighbourhoods are the entries within its own k-distance,
-    in the same order: every read equals a pass at its k bit for bit. The
-    lists are dropped once each k of ``ks`` that X has room for has been
-    read, so they do not stay allocated under the learners that run after.
-    """
-
-    def __init__(self, X: np.ndarray, ks):
-        self.X = X
-        self.ks = tuple(k for k in ks if k < X.shape[0])
-        self._unread = list(self.ks)
-        self._lists = None
-
-    def _read(self, k: int):
-        if k not in self.ks:
-            raise ValueError(f"this pass serves k in {self.ks}, not k={k}")
-        lists = _neighbors(self.X, self.ks) if self._lists is None else self._lists
-        if k in self._unread:
-            self._unread.remove(k)
-        self._lists = lists if self._unread else None
-        return lists
-
-    def kdist(self, k: int) -> np.ndarray:
-        """Exact distance from every row to its k-th nearest other row."""
-        return self._read(k)[0][k]
-
-    def lists(self, k: int):
-        """(kdist, indptr, indices, dist) at k, laid out as `_neighbors` lays them out."""
-        kdists, indptr, indices, dist = self._read(k)
-        kdist = kdists[k]
-        if k == max(self.ks):
-            return kdist, indptr, indices, dist
-        rows = np.repeat(np.arange(kdist.size), np.diff(indptr))
-        keep = dist <= kdist[rows]
-        sizes = np.bincount(rows[keep], minlength=kdist.size)
-        return kdist, np.concatenate(([0], np.cumsum(sizes))), indices[keep], dist[keep]
-
-
 def _row_means(indptr: np.ndarray, values_at) -> np.ndarray:
     """Mean of ``values_at(entries)`` over each row's entries indptr[p]:indptr[p + 1].
 
@@ -200,21 +157,21 @@ def _row_means(indptr: np.ndarray, values_at) -> np.ndarray:
     return out
 
 
-def knn_scores(X: np.ndarray, k: int, neighbors: Optional[NeighborPass] = None) -> np.ndarray:
+def knn_scores(X: np.ndarray, k: int, lists=None) -> np.ndarray:
     """Euclidean distance to the k-th nearest neighbor, self excluded.
 
-    ``neighbors`` is a pass of X shared with other learners; without one,
-    the learner runs its own at k.
+    ``lists`` is a `neighbor_pass` of X at k among others; without it, the
+    learner runs its own pass at k.
     """
     d = X.shape[0]
     if d < k + 1:
         raise TooFewSamples(f"knn with k={k} needs at least {k + 1} points, got {d}")
-    if neighbors is None:
-        neighbors = NeighborPass(X, (k,))
-    return neighbors.kdist(k)
+    if lists is None:
+        lists = neighbor_pass(X, (k,))
+    return lists[0][k]
 
 
-def lof_scores(X: np.ndarray, k: int, neighbors: Optional[NeighborPass] = None) -> np.ndarray:
+def lof_scores(X: np.ndarray, k: int, lists=None) -> np.ndarray:
     """Local outlier factor with ties-inclusive k-neighborhoods.
 
     kdist(p) is the k-th smallest distance from p to other points; the
@@ -224,14 +181,22 @@ def lof_scores(X: np.ndarray, k: int, neighbors: Optional[NeighborPass] = None) 
     mean is zero); LOF(p) = mean of neighbor lrd over lrd(p), with the
     all-duplicates case inf/inf taken as 1. A point next to a pile of more
     than k duplicates would score inf/finite; it takes the largest finite
-    LOF of the series instead. ``neighbors`` is as in `knn_scores`.
+    LOF of the series instead. ``lists`` is as in `knn_scores`.
     """
     d = X.shape[0]
     if d < k + 1:
         raise TooFewSamples(f"lof with k={k} needs at least {k + 1} points, got {d}")
-    if neighbors is None:
-        neighbors = NeighborPass(X, (k,))
-    kdist, indptr, nbrs, dist = neighbors.lists(k)
+    if lists is None:
+        lists = neighbor_pass(X, (k,))
+    kdists, indptr, nbrs, dist = lists
+    kdist = kdists[k]
+    if k < max(kdists):
+        # a pass at a larger k: the entries within this k-distance, in the
+        # same order, are this k's neighbourhoods bit for bit
+        rows = np.repeat(np.arange(d), np.diff(indptr))
+        keep = dist <= kdist[rows]
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[keep], minlength=d))))
+        nbrs, dist = nbrs[keep], dist[keep]
     mean_reach = _row_means(indptr, lambda e: np.maximum(kdist[nbrs[e]], dist[e]))
     lrd = np.full(d, np.inf)
     np.divide(1.0, mean_reach, out=lrd, where=mean_reach != 0.0)

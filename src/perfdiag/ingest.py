@@ -172,7 +172,8 @@ class GenConfig:
             ("n_samples", self.n_samples >= 1, ">= 1"),
             ("interval", self.interval >= 1, ">= 1"),
             ("edge_prob", 0.0 <= self.edge_prob <= 1.0, "in [0, 1]"),
-            ("noise_std", self.noise_std > 0, "> 0"),
+            ("magnitude", np.isfinite(self.magnitude), "finite"),
+            ("noise_std", 0 < self.noise_std < np.inf, "finite and > 0"),
             ("n_windows", self.n_windows >= 0, ">= 0"),
             ("window_len", self.window_len >= 0, ">= 0"),
         ):
@@ -279,6 +280,11 @@ def generate(config: GenConfig, seed: int) -> tuple[MetricFrame, LabelSeries, Gr
         for i in parents[j]:
             col += weights[(i, j)] * values[:, i]
         values[:, j] = col
+    if not np.isfinite(values).all():
+        raise InvalidConfig(
+            f"data.generate: magnitude {config.magnitude!r} and noise_std "
+            f"{config.noise_std!r} drive the sampled series past the float range"
+        )
 
     timestamps = np.arange(d, dtype=np.int64) * config.interval
     labels = np.zeros(d, dtype=np.int64)

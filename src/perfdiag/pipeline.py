@@ -32,7 +32,7 @@ from .core import (
     check_fields,
     dumps_json,
 )
-from .detectors import KINDS, DetectorSpec, NeighborPass, ScoreVector, fit_score, threshold
+from .detectors import KINDS, DetectorSpec, ScoreVector, fit_score, neighbor_pass, threshold
 from .ensemble import (
     assemble,
     ensemble_avg,
@@ -410,12 +410,17 @@ def _select(run: _Run) -> None:
 
 
 def _detect(run: _Run) -> None:
-    specs = [run.config.detector_spec(kind) for kind in KINDS]
-    # knn and lof read one neighbour pass, made by the first of them to run
-    neighbors = NeighborPass(run.selected.values, (specs[0].knn_k, specs[0].lof_k))
-    vectors = []
-    for spec in specs:
-        vec = fit_score(spec, run.selected, neighbors)
+    X = run.selected.values
+    vectors, lists = [], None
+    for spec in (run.config.detector_spec(kind) for kind in KINDS):
+        if spec.kind == "knn":
+            # knn and lof read one neighbour pass, made after iforest and
+            # dropped before ocsvm; a k without room fails in its learner
+            ks = (spec.knn_k, spec.lof_k)
+            lists = neighbor_pass(X, ks) if min(ks) < X.shape[0] else None
+        elif spec.kind == "ocsvm":
+            lists = None
+        vec = fit_score(spec, run.selected, lists)
         run.write(
             f"scores_{spec.kind}.csv", format_table(SCORES, [run.selected.timestamps, vec.values])
         )

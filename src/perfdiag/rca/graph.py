@@ -180,7 +180,7 @@ def _independent(rho: np.ndarray, dof: int, q: float) -> np.ndarray:
 
 
 def _schur_rho(corr: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """rho(i, j | S) and a near-singular flag for each test idx[k] = (*S, i, j).
+    """rho(i, j | S) and a near-singular flag for each test idx[:, k] = (*S, i, j).
 
     Eliminates S from the stacked submatrices one pivot at a time, across
     the whole stack and on the upper triangle only, as the matrices are
@@ -189,11 +189,10 @@ def _schur_rho(corr: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarra
     determinant is at most _PIVOT_MIN (the diagonal is 1); its rho is then
     not to be used.
     """
-    m = idx.shape[1]
+    m = idx.shape[0]
     # (m, m, K): the set axis last, so each step runs on contiguous rows
-    cols = np.ascontiguousarray(idx.T)
-    A = corr[cols[:, None, :], cols[None, :, :]]
-    flagged = np.zeros(len(idx), dtype=bool)
+    A = corr[idx[:, None, :], idx[None, :, :]]
+    flagged = np.zeros(idx.shape[1], dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for k in range(m - 2):
             pivot = A[k, k]
@@ -207,7 +206,7 @@ def _schur_rho(corr: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _decide(corr: np.ndarray, idx: np.ndarray, dof: int, q: float) -> np.ndarray:
-    """Whether each test idx[k] = (*S, i, j) finds i and j independent given
+    """Whether each test idx[:, k] = (*S, i, j) finds i and j independent given
     S; a near-singular set never does."""
     rho, flagged = _schur_rho(corr, idx)
     return _independent(rho, dof, q) & ~flagged
@@ -242,12 +241,13 @@ def _subsets(n: int, level: int, start: int, stop: int) -> np.ndarray:
 
 
 def _tests(S: np.ndarray, i, j) -> np.ndarray:
-    """Index rows (*S, i, j) for the sets S[..., :] of the pairs (i, j)."""
-    idx = np.empty(S.shape[:-1] + (S.shape[-1] + 2,), dtype=np.intp)
-    idx[..., :-2] = S
-    idx[..., -2] = i
-    idx[..., -1] = j
-    return idx.reshape(-1, idx.shape[-1])
+    """The tests (*S, i, j) for the sets S[..., :] of the pairs (i, j), one
+    per column: the set axis last, as `_schur_rho` gathers them."""
+    idx = np.empty((S.shape[-1] + 2,) + S.shape[:-1], dtype=np.intp)
+    idx[:-2] = np.moveaxis(S, -1, 0)
+    idx[-2] = i
+    idx[-1] = j
+    return idx.reshape(len(idx), -1)
 
 
 def _z_quantile(alpha: float) -> float:
@@ -298,15 +298,15 @@ def _level(
     total = [comb(max(len(nb) - 1, 0), level) for nb in nbrs]
 
     def settle(pending) -> None:
-        idx = np.concatenate([_tests(S, a, bs[:, None]) for a, bs, S in pending])
+        idx = np.concatenate([_tests(S, a, bs[:, None]) for a, bs, S in pending], axis=1)
         hit = np.flatnonzero(_decide(corr, idx, dof, q))
         if not len(hit):  # every set dependent, as in most deep-level batches
             return
         # each pair's first independent set
-        hit = hit[np.unique(idx[hit, -2] * len(adj) + idx[hit, -1], return_index=True)[1]]
-        a, b = idx[hit, -2], idx[hit, -1]
+        hit = hit[np.unique(idx[-2, hit] * len(adj) + idx[-1, hit], return_index=True)[1]]
+        a, b = idx[-2, hit], idx[-1, hit]
         adj[a, b] = adj[b, a] = pairs[a, b] = False
-        for a, b, S in zip(a.tolist(), b.tolist(), idx[hit, :-2].tolist()):
+        for a, b, S in zip(a.tolist(), b.tolist(), idx[:-2, hit].T.tolist()):
             sepset[min(a, b), max(a, b)] = tuple(S)
 
     for side in (np.triu, np.tril):

@@ -11,7 +11,7 @@ import pytest
 from perfdiag.core import SelectedFrame
 from perfdiag.detectors import DetectorSpec, ScoreVector, fit_score, neighbors, threshold
 from perfdiag.detectors.iforest import avg_path_length, iforest_scores
-from perfdiag.detectors.neighbors import NeighborPass, knn_scores, lof_scores
+from perfdiag.detectors.neighbors import knn_scores, lof_scores, neighbor_pass
 from perfdiag.detectors.ocsvm import ocsvm_fit, ocsvm_scores, rbf_gamma, rbf_kernel
 from perfdiag.errors import InvalidConfig, NumericalFailure, TooFewSamples
 
@@ -296,14 +296,15 @@ def test_neighbor_pass_exact_at_block_and_sample_edges(monkeypatch):
     for X, k, budget, floor in cases:
         monkeypatch.setattr(neighbors, "_BLOCK_BYTES", budget)
         monkeypatch.setattr(neighbors, "_BLOCK_ROWS_MIN", floor)
-        got = NeighborPass(X, (k,)).lists(k), lof_scores(X, k)
+        got = neighbor_pass(X, (k,)), lof_scores(X, k)
         # one block holds the whole input at the former 8 MiB budget
         monkeypatch.setattr(neighbors, "_BLOCK_BYTES", 8 << 20)
-        want = NeighborPass(X, (k,)).lists(k), lof_scores(X, k)
-        for a, b in zip((*got[0], got[1]), (*want[0], want[1])):
+        want = neighbor_pass(X, (k,)), lof_scores(X, k)
+        np.testing.assert_array_equal(got[0][0][k], want[0][0][k])
+        for a, b in zip((*got[0][1:], got[1]), (*want[0][1:], want[1])):
             np.testing.assert_array_equal(a, b)
         kdist, lof, widest = direct_reference(X, k)
-        np.testing.assert_array_equal(got[0][0], kdist)
+        np.testing.assert_array_equal(got[0][0][k], kdist)
         np.testing.assert_array_equal(got[1], lof)
         widest_pile = max(widest_pile, widest)
     assert widest_pile >= 594  # the pile really fills its rows' lists
@@ -311,21 +312,20 @@ def test_neighbor_pass_exact_at_block_and_sample_edges(monkeypatch):
 
 @pytest.mark.parametrize("knn_k, lof_k", [(5, 20), (20, 5), (3, 3), (1, 8)])
 def test_shared_pass_equals_a_pass_per_k(knn_k, lof_k):
-    # the pass runs at the larger k and serves the smaller one from the same candidates
+    # the pass runs at the larger k and serves the smaller one from the same
+    # candidates; lof at the smaller k keeps the entries within its k-distance
     for X in hostile_inputs():
-        shared = NeighborPass(X, (knn_k, lof_k))
+        shared = neighbor_pass(X, (knn_k, lof_k))
         np.testing.assert_array_equal(knn_scores(X, knn_k, shared), knn_scores(X, knn_k))
         np.testing.assert_array_equal(lof_scores(X, lof_k, shared), lof_scores(X, lof_k))
-        assert shared._lists is None  # dropped once both learners have read them
-        small = min(knn_k, lof_k)
-        lists = NeighborPass(X, (knn_k, lof_k)).lists(small)
-        for got, want in zip(lists, NeighborPass(X, (small,)).lists(small)):
-            np.testing.assert_array_equal(got, want)
+        for k in (knn_k, lof_k):
+            np.testing.assert_array_equal(shared[0][k], neighbor_pass(X, (k,))[0][k])
 
 
 def test_shared_pass_skips_a_k_the_input_has_no_room_for():
     X = np.random.default_rng(2).standard_normal((30, 2))
-    shared = NeighborPass(X, (5, 30))
+    shared = neighbor_pass(X, (5, 30))
+    assert list(shared[0]) == [5]
     np.testing.assert_array_equal(knn_scores(X, 5, shared), knn_scores(X, 5))
     with pytest.raises(TooFewSamples, match="lof with k=30"):
         lof_scores(X, 30, shared)
@@ -334,7 +334,8 @@ def test_shared_pass_skips_a_k_the_input_has_no_room_for():
 def lof_per_row_reference(X, k):
     """LOF over the pass's lists with the per-row loops it once used."""
     d = X.shape[0]
-    kdist, indptr, nbrs, dist = NeighborPass(X, (k,)).lists(k)
+    kdists, indptr, nbrs, dist = neighbor_pass(X, (k,))
+    kdist = kdists[k]
     reach = np.maximum(kdist[nbrs], dist)
     lrd = np.empty(d)
     for p in range(d):

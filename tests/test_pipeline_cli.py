@@ -16,11 +16,13 @@ import numpy as np
 import pytest
 
 import perfdiag
+from perfdiag import pipeline
 from perfdiag.cli import _config_from_args, build_parser, main
-from perfdiag.detectors import DetectorSpec, ScoreVector, neighbors
+from perfdiag.detectors import DetectorSpec, ScoreVector
 from perfdiag.errors import (
     ConstantColumnWarning,
     InvalidConfig,
+    PerfDiagError,
     PipelineStageError,
     TooFewSamples,
 )
@@ -92,6 +94,7 @@ def test_config_rejects_bad_train_values(tmp_path, train):
      ("detect", {"knn_k": 0}, "detect.knn_k must be >= 1"),
      ("detect", {"knn_k": "5"}, "detect.knn_k"),
      ("detect", {"n_trees": 2.5}, "detect.n_trees"),
+     ("detect", {"subsample": 1}, "detect.subsample must be >= 2"),
      # an int setting takes an int, not a float or a bool; a float setting
      # takes a number, not a string; a str setting takes a string
      ("train", {"epochs": 2.5}, "train.epochs"),
@@ -119,6 +122,22 @@ def test_config_rejects_bad_values_at_load(tmp_path, section, values, where):
     with pytest.raises(InvalidConfig, match=where):
         load_config(path)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "gen, stage",
+    [({"magnitude": math.nan}, "load"), ({"noise_std": math.inf}, "load"),
+     # finite scales whose shift, 1e308 noise standard deviations, overflows
+     ({"magnitude": 1e308, "noise_std": 10}, "ingest")],
+)
+def test_a_generator_past_the_float_range_fails_typed(tmp_path, gen, stage):
+    path = write_config(tmp_path, {"data": {"generate": {**GEN, **gen}}, "out": str(tmp_path)})
+    with pytest.raises(PerfDiagError, match="data.generate") as err:
+        run_pipeline(load_config(path))
+    if stage == "load":
+        assert type(err.value) is InvalidConfig
+    else:
+        assert err.value.stage == stage and isinstance(err.value.cause, PerfDiagError)
 
 
 # values of the wrong type for each kind of scalar; a bool is never a number
@@ -390,8 +409,8 @@ def test_a_run_makes_one_neighbour_pass(tmp_path, monkeypatch, detect, k):
         calls.append(max(ks))
         return pass_once(X, ks)
 
-    pass_once = neighbors._neighbors
-    monkeypatch.setattr(neighbors, "_neighbors", counted)
+    pass_once = pipeline.neighbor_pass
+    monkeypatch.setattr(pipeline, "neighbor_pass", counted)
     cfg = PipelineConfig(
         data={"generate": GEN}, out=str(tmp_path / "o"), ensemble="max",
         detector_overrides=detect,

@@ -19,6 +19,7 @@ from perfdiag.errors import (
 )
 from perfdiag.rca import graph as graph_module
 from perfdiag.rca.graph import (
+    _BLOCK_BYTES,
     _SUBSET_TABLES,
     _TABLE_CACHE_BYTES,
     CausalGraph,
@@ -29,6 +30,7 @@ from perfdiag.rca.graph import (
     _schur_rho,
     _skeleton,
     _subsets,
+    _tests,
     _z_quantile,
     partial_correlation,
     pc_build,
@@ -369,7 +371,7 @@ def sent(monkeypatch):
 
 def flagged(corr, test):
     """Whether `_schur_rho` flags the one test (*S, i, j) of input columns."""
-    return bool(_schur_rho(corr, np.array([test]))[1][0])
+    return bool(_schur_rho(corr, np.array([test]).T)[1][0])
 
 
 def flagged_sepsets(corr, names, sepset):
@@ -552,12 +554,12 @@ def test_schur_kernel_matches_partial_correlation():
     for level in range(11):
         # rows (*S, i, j): 20,000 random tests over levels 0-10
         idx = np.array([rng.choice(n, level + 2, replace=False) for _ in range(1819)])
-        rho, flagged = _schur_rho(corr, idx)
+        rho, flagged = _schur_rho(corr, idx.T)
         expected = np.array([partial_correlation(corr, i, j, S) for *S, i, j in idx])
         assert not flagged.any()
         assert np.abs(rho - expected).max() <= 1e-12
         dof = d - level - 3
-        assert np.array_equal(_decide(corr, idx, dof, q), _independent(expected, dof, q))
+        assert np.array_equal(_decide(corr, idx.T, dof, q), _independent(expected, dof, q))
 
 
 def test_schur_kernel_flags_every_singular_submatrix():
@@ -571,7 +573,7 @@ def test_schur_kernel_flags_every_singular_submatrix():
             for i, j in permutations(range(n), 2)
             for S in combinations(sorted(set(range(n)) - {i, j}), level)
         ])
-        _, flagged = _schur_rho(corr, idx)
+        _, flagged = _schur_rho(corr, idx.T)
         for (*S, i, j), flag in zip(idx, flagged):
             # partial_correlation inverts the submatrix in (i, j, *S) order
             try:
@@ -588,8 +590,25 @@ def test_schur_kernel_flags_tiny_pivots():
     data, _ = near_singular_data()
     corr = _correlation_matrix(data)
     idx = np.array([(*S, 0, 4) for S in permutations((1, 2, 3, 5))])
-    _, flagged = _schur_rho(corr, idx)
+    _, flagged = _schur_rho(corr, idx.T)
     assert flagged.all()
+
+
+def test_schur_kernel_gathers_a_level_0_batch_from_its_rows():
+    # one full level-0 batch: 16,384 tests. The (2, 2, K) stack is 512 KiB;
+    # a copy of the 256 KiB index rows took the peak to 1,169 KiB
+    n, tests = 49, _BLOCK_BYTES // (8 * 2**2)
+    corr = np.corrcoef(np.random.default_rng(0).standard_normal((500, n)).T)
+    j = 1 + np.arange(tests)[:, None] % (n - 1)
+    idx = _tests(np.zeros((tests, 1, 0), dtype=np.intp), 0, j)
+    assert idx.shape == (2, tests)
+    tracemalloc.start()
+    try:
+        _schur_rho(corr, idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"{peak / 2**10:.0f} KiB"
 
 
 @pytest.mark.parametrize(
@@ -604,9 +623,9 @@ def test_subset_rows_follow_combination_order(n, level, start, stop):
 
 
 def test_skeleton_memory_bounded():
-    # measured 1.2 MiB: one 512 KiB batch of stacked submatrices, its
+    # measured 1.1 MiB: one 512 KiB batch of stacked submatrices, its
     # elimination temporaries, and the batch's index rows, held once in
-    # rank order
+    # rank order with the set axis last
     data, names = factor_data(32)
     corr = _correlation_matrix(data)
     tracemalloc.start()
