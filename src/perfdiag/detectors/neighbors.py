@@ -19,7 +19,8 @@ allocates once; the screen's mask has a reused buffer of its own. No block
 is copied to find each row's k-th Gram value: a partition of every few
 columns bounds it from above, and the few pairs under that bound give the
 exact value. The exact re-rank runs over candidate pairs in slices of the
-budget. Only the tie-inclusive neighbour lists grow with the input.
+budget. Only the tie-inclusive neighbour lists, int32 row ids and float64
+distances, grow with the input.
 
 LOF's means run over groups of rows of equal neighbourhood size, one
 block of rows at a time, not row by row, and round exactly as a per-row
@@ -52,13 +53,18 @@ def _pair_distances(X: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.nda
 def neighbor_pass(X: np.ndarray, ks):
     """Exact k-distances and tie-inclusive neighbourhoods of every row.
 
-    The pass runs at k, the largest j of ks that X has room for (j < rows).
-    Returns (kdists, indptr, indices, dist): kdists[j] holds every row's
-    exact j-distance, for each such j. Row p's neighbourhood is
-    indices[indptr[p]:indptr[p + 1]]: every other row within kdists[k][p]
-    of p, in ascending index order, with its distance from p in dist.
+    The pass runs at k, the largest j of ks that X has room for (j < rows);
+    it raises TooFewSamples when no j has room. Returns (kdists, indptr,
+    indices, dist): kdists[j] holds every row's exact j-distance, for each
+    such j. Row p's neighbourhood is indices[indptr[p]:indptr[p + 1]]:
+    every other row within kdists[k][p] of p, as int32 row ids in ascending
+    order, with its distance from p in dist.
     """
     d, f = X.shape
+    if min(ks) >= d:
+        raise TooFewSamples(
+            f"neighbour pass with k={min(ks)} needs at least {min(ks) + 1} points, got {d}"
+        )
     ks = [j for j in ks if j < d]
     k = max(ks)
     C = X - X.mean(axis=0)
@@ -129,7 +135,7 @@ def neighbor_pass(X: np.ndarray, ks):
             kdist[start:stop] = padded[:, j - 1]
         keep = dist <= kdists[k][rows + start]
         sizes[start:stop] = np.bincount(rows[keep], minlength=local.size)
-        indices.append(cols[keep])
+        indices.append(cols[keep].astype(np.int32))
         dists.append(dist[keep])
     del C, gram, screen  # not held while the lists are joined
     indptr = np.concatenate(([0], np.cumsum(sizes)))

@@ -238,10 +238,10 @@ class _Run:
         self.out.mkdir(parents=True, exist_ok=True)
         self.timings: dict[str, float] = {}
         self.artifacts: dict[str, str] = {}  # file name -> sha256 of its bytes
-        self.frame: Optional[MetricFrame] = None
+        self.frame: Optional[MetricFrame] = None  # the ingested data, dropped by select
         self.labels: Optional[LabelSeries] = None
         self.truth: Optional[GroundTruth] = None
-        self.normalized: Optional[MetricFrame] = None
+        self.normalized: Optional[MetricFrame] = None  # z-scores, kept where RCA reads them
         self.selected: Optional[SelectedFrame] = None
         self.selection_info: dict = {}
         self.matrix: Optional[ScoreMatrix] = None
@@ -374,12 +374,15 @@ def _ingest(run: _Run) -> None:
 def _select(run: _Run) -> None:
     cfg = run.config
     normalized, dropped = zscore(run.frame)
-    run.normalized = normalized
     info: dict = {
         "method": cfg.select_method,
         "n_before": run.frame.n_metrics,
         "dropped_constant": list(dropped),
     }
+    # no later stage reads the raw frame; RCA reads the z-scored metrics
+    # unless the selection keeps metric columns of its own (see `_rca`)
+    run.frame = None
+    run.normalized = None if cfg.select_method == "correlation" else normalized
     if cfg.select_method == "correlation":
         if run.labels is None:
             raise InvalidConfig("correlation selection requires labels")
@@ -415,9 +418,10 @@ def _detect(run: _Run) -> None:
     for spec in (run.config.detector_spec(kind) for kind in KINDS):
         if spec.kind == "knn":
             # knn and lof read one neighbour pass, made after iforest and
-            # dropped before ocsvm; a k without room fails in its learner
+            # dropped before ocsvm. A k without room fails in its learner:
+            # knn's before the pass is made, lof's after knn has scored
             ks = (spec.knn_k, spec.lof_k)
-            lists = neighbor_pass(X, ks) if min(ks) < X.shape[0] else None
+            lists = neighbor_pass(X, ks) if spec.knn_k < X.shape[0] else None
         elif spec.kind == "ocsvm":
             lists = None
         vec = fit_score(spec, run.selected, lists)

@@ -45,9 +45,11 @@ def zscore(frame: MetricFrame) -> tuple[MetricFrame, tuple[str, ...]]:
         )
     if not keep.any():
         raise DegenerateCovariance("every column is constant")
+    # z itself, or one C-contiguous copy of its kept columns: `z[:, keep]`
+    # is Fortran-ordered, and MetricFrame would copy it again
     out = MetricFrame(
         timestamps=frame.timestamps,
-        values=z[:, keep],
+        values=np.compress(keep, z, axis=1) if dropped else z,
         names=tuple(n for n, k in zip(frame.names, keep) if k),
         interval=frame.interval,
     )

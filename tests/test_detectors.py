@@ -326,9 +326,17 @@ def test_shared_pass_skips_a_k_the_input_has_no_room_for():
     X = np.random.default_rng(2).standard_normal((30, 2))
     shared = neighbor_pass(X, (5, 30))
     assert list(shared[0]) == [5]
+    assert shared[2].dtype == np.int32  # neighbour ids
     np.testing.assert_array_equal(knn_scores(X, 5, shared), knn_scores(X, 5))
     with pytest.raises(TooFewSamples, match="lof with k=30"):
         lof_scores(X, 30, shared)
+
+
+@pytest.mark.parametrize("ks", [(30,), (30, 40)])
+def test_a_pass_without_room_for_any_k_raises_too_few_samples(ks):
+    with pytest.raises(TooFewSamples) as err:
+        neighbor_pass(np.zeros((30, 2)), ks)
+    assert str(err.value) == "neighbour pass with k=30 needs at least 31 points, got 30"
 
 
 def lof_per_row_reference(X, k):

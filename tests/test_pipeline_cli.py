@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -375,15 +376,30 @@ def test_pipeline_wraps_stage_failures(tmp_path):
     assert err.value.cause is not None
 
 
+@pytest.fixture
+def pass_ks(monkeypatch):
+    """The largest k of each neighbour pass the pipeline makes, in order."""
+    calls = []
+    pass_once = pipeline.neighbor_pass
+
+    def counted(X, ks):
+        calls.append(max(ks))
+        return pass_once(X, ks)
+
+    monkeypatch.setattr(pipeline, "neighbor_pass", counted)
+    return calls
+
+
 @pytest.mark.parametrize(
     "setting, written",
     [("lof_k", ["scores_iforest.csv", "scores_knn.csv"]), ("knn_k", ["scores_iforest.csv"])],
 )
 def test_a_distance_learner_without_room_for_its_k_fails_the_detect_stage(
-    tmp_path, setting, written
+    tmp_path, pass_ks, setting, written
 ):
     # the shared neighbour pass serves the other learner; the one whose k is
-    # at least the row count still raises its own TooFewSamples
+    # at least the row count still raises its own TooFewSamples. Without room
+    # for knn, its first reader, the pass is never made
     out = tmp_path / "o"
     cfg = PipelineConfig(
         data={"generate": GEN}, out=str(out), ensemble="max", select_method="none",
@@ -396,27 +412,61 @@ def test_a_distance_learner_without_room_for_its_k_fails_the_detect_stage(
     assert type(err.value.cause) is TooFewSamples
     assert str(err.value.cause) == f"{learner} with k=400 needs at least 401 points, got 400"
     assert sorted(p.name for p in out.glob("scores_*.csv")) == written
+    assert len(pass_ks) == (0 if setting == "knn_k" else 1)
 
 
 @pytest.mark.parametrize(
     "detect, k",
     [({}, 20), ({"knn_k": 7, "lof_k": 7}, 7), ({"knn_k": 20, "lof_k": 5}, 20)],
 )
-def test_a_run_makes_one_neighbour_pass(tmp_path, monkeypatch, detect, k):
-    calls = []
-
-    def counted(X, ks):
-        calls.append(max(ks))
-        return pass_once(X, ks)
-
-    pass_once = pipeline.neighbor_pass
-    monkeypatch.setattr(pipeline, "neighbor_pass", counted)
+def test_a_run_makes_one_neighbour_pass(tmp_path, pass_ks, detect, k):
     cfg = PipelineConfig(
         data={"generate": GEN}, out=str(tmp_path / "o"), ensemble="max",
         detector_overrides=detect,
     )
     run_pipeline(cfg)
-    assert calls == [k]
+    assert pass_ks == [k]
+
+
+def smd_wide_inputs(tmp_path, n=10_000, m=38):
+    """SMD files in the benchmark's smd-wide recipe: values on a 0.25 grid,
+    a 5-row stall every 97 rows, a constant last metric, and six windows
+    that shift m0 up and m1 down. Returns the data section and the matrix."""
+    rng = np.random.default_rng(11)
+    values = rng.normal(0.0, 1.0, size=(n, m)) + rng.uniform(-3.0, 3.0, size=m)
+    for s in range(97, n, 97):
+        values[s:s + 5] = values[s - 1]
+    values[:, m - 1] = 1.0
+    labels = np.zeros(n, dtype=np.int64)
+    length, seg = n // 60, n // 6
+    for s in range(length, n, seg):
+        values[s:s + length, 0] += 12.0 + 20.0 * np.abs(rng.standard_normal(length))
+        values[s:s + length, 1] -= 12.0 + 20.0 * np.abs(rng.standard_normal(length))
+        labels[s:s + length] = 1
+    values = np.round(values * 4.0) / 4.0
+    np.savetxt(tmp_path / "values.txt", values, fmt="%.2f", delimiter=",")
+    np.savetxt(tmp_path / "labels.txt", labels, fmt="%d")
+    data = {"smd_values": str(tmp_path / "values.txt"), "smd_labels": str(tmp_path / "labels.txt")}
+    return data, values
+
+
+@pytest.mark.filterwarnings("ignore::perfdiag.errors.ConstantColumnWarning")
+def test_a_run_holds_each_data_matrix_once(tmp_path):
+    # at SMD width, a run's traced peak stays within 5 input matrices: the
+    # raw frame is dropped once z-scored, zscore copies the kept columns
+    # once, and the neighbour ids are int32
+    data, values = smd_wide_inputs(tmp_path)
+    cfg = PipelineConfig(
+        data=data, out=str(tmp_path / "o"), select_method="none", ensemble="max", alpha=0.001,
+    )
+    run_pipeline(cfg)  # warm-up: module-level caches are not the run's
+    tracemalloc.start()
+    try:
+        run_pipeline(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * values.nbytes, f"peak {peak / 2**20:.2f} MiB"
 
 
 # pure-noise data can leave the indicator without graph neighbors

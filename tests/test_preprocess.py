@@ -1,5 +1,7 @@
 """Normalization, correlation filtering, and PCA."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,26 @@ def test_zscore_needs_two_rows():
     f = frame_from({"a": [1.0]})
     with pytest.raises(TooFewSamples):
         zscore(f)
+
+
+@pytest.mark.parametrize("constant", [True, False])
+@pytest.mark.filterwarnings("ignore::perfdiag.errors.ConstantColumnWarning")
+def test_zscore_makes_one_copy(constant):
+    # SMD width on a 0.25 grid: the z-scores, and at most one copy of their
+    # kept columns, in the C order MetricFrame keeps without copying again
+    vals = np.round(np.random.default_rng(5).standard_normal((10_000, 38)) * 4.0) / 4.0
+    if constant:
+        vals[:, -1] = 1.0
+    f = frame_from({f"m{i}": vals[:, i] for i in range(38)})
+    tracemalloc.start()
+    try:
+        out, dropped = zscore(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(dropped) == constant
+    assert peak < 2.5 * f.values.nbytes, f"peak {peak / f.values.nbytes:.2f} x the input"
+    assert out.values.flags.c_contiguous
 
 
 # --- correlation filter ---------------------------------------------------
