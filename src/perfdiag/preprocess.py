@@ -162,6 +162,7 @@ def correlate_select(
     denom = np.sqrt(ss_k * ss_r)
     with np.errstate(divide="ignore", invalid="ignore"):
         r = (k_c @ vals_c) / denom
+    del vals_c  # the centred copy is as large as the frame
     r = np.where(denom > 0.0, r, 0.0)
     r = np.clip(r, -1.0, 1.0)
     const = ss_r == 0.0
@@ -187,7 +188,7 @@ def correlate_select(
     idx = np.flatnonzero(retained)
     selected = SelectedFrame(
         timestamps=frame.timestamps,
-        values=frame.values[:, idx],
+        values=np.take(frame.values, idx, axis=1),  # C order, so SelectedFrame keeps it
         columns=tuple(frame.names[i] for i in idx),
         method="correlation",
         source_indices=tuple(int(i) for i in idx),

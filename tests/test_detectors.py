@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from perfdiag.core import SelectedFrame
-from perfdiag.detectors import DetectorSpec, ScoreVector, fit_score, neighbors, threshold
+from perfdiag.detectors import DetectorSpec, ScoreVector, fit_score, iforest, neighbors, threshold
 from perfdiag.detectors.iforest import avg_path_length, iforest_scores
 from perfdiag.detectors.neighbors import knn_scores, lof_scores, neighbor_pass
 from perfdiag.detectors.ocsvm import ocsvm_fit, ocsvm_scores, rbf_gamma, rbf_kernel
@@ -173,7 +173,205 @@ def test_iforest_scores_match_recorded_values():
     X = np.round(np.random.default_rng(2024).standard_normal((300, 4)) * 4) / 4
     X[120:180] = X[120]  # a stall: 60 identical rows
     scores = iforest_scores(X, np.random.default_rng(9))
-    np.testing.assert_allclose(scores, IFOREST_RECORDED, rtol=1e-15, atol=0)
+    np.testing.assert_array_equal(scores, IFOREST_RECORDED)
+
+
+# iforest_scores on a tie-free input, recorded while every node still reduced
+# all columns and every row was routed down each tree as it grew
+IFOREST_TIE_FREE_RECORDED = np.array([
+    0.5823633802914041, 0.3923657067444546, 0.45302589883672273, 0.5451899451031609,
+    0.496583365480743, 0.4183058507935482, 0.37575864628017547, 0.4249149910564152,
+    0.4760551741389231, 0.5494324542552674, 0.5093782335072407, 0.42254669968743896,
+    0.46119294086031654, 0.44344259627642707, 0.4108271994877071, 0.4541230532224431,
+    0.4943674337619119, 0.46523852936364696, 0.5362365761633245, 0.5248052205311444,
+    0.49432616038849847, 0.44685861036986374, 0.4608570721668143, 0.44253689363360954,
+    0.4986665611206903, 0.44320047656646744, 0.4517560265997712, 0.46151851425030194,
+    0.4403937844102285, 0.5221094913236264, 0.4015482727828799, 0.5404984851858282,
+    0.4222769563779298, 0.4657764346764344, 0.4094557868207755, 0.41306910829939675,
+    0.37810681593928697, 0.5789743822845723, 0.5039380303189654, 0.4218198485945966,
+    0.5723113267403949, 0.46709285437096226, 0.4724594686163543, 0.4467497594873224,
+    0.4334073202608247, 0.5111107013420417, 0.38257131098780073, 0.49941156198931913,
+    0.4941360101331454, 0.4356091978411338, 0.5267213576127616, 0.4725776918703447,
+    0.43496220283273657, 0.4196290057588159, 0.4182362751863263, 0.5437449993387007,
+    0.40686859211045207, 0.42498224070478346, 0.42717525722470395, 0.4552700378122003,
+    0.3903357386611689, 0.4160572755236465, 0.4831837094784842, 0.40944701680317513,
+    0.3950416485855146, 0.45516056125565946, 0.5400917818734067, 0.40312500906975723,
+    0.44808368835724316, 0.4061980918727782, 0.4659625255472647, 0.5069966355672741,
+    0.48763982673300404, 0.419233942888742, 0.3896317327798621, 0.5051181420464672,
+    0.6017958545798681, 0.4201498813144183, 0.3963623573496274, 0.42849149735990794,
+    0.4023185147293792, 0.45462218972474794, 0.4015260083813178, 0.4755334260936702,
+    0.4559600063860975, 0.41286525141042374, 0.4193377229955027, 0.40464395718900287,
+    0.45459632301340325, 0.3870666388681093, 0.42986861562382894, 0.4267759718106798,
+    0.45325206555556585, 0.4065908377924632, 0.41927222353076576, 0.4742369136403174,
+    0.4434056098087747, 0.46049226645995456, 0.40433102393857717, 0.3911208055660108,
+    0.39300116473852625, 0.6042579343294437, 0.3966353385252944, 0.48525319206449724,
+    0.5530024893097535, 0.43077209677236816, 0.5036422678474344, 0.4931486953553379,
+    0.41226372855040305, 0.4846483436562794, 0.39531792625412326, 0.49376453720062063,
+    0.41871893672153615, 0.4144539839886039, 0.43011298239022805, 0.48462371996937065,
+    0.3797874858146887, 0.40295089835071, 0.5080776047306849, 0.4390099833584058,
+    0.3825086624973677, 0.4363450651683236, 0.4077893309270216, 0.5131682618321024,
+    0.46125524557784026, 0.4886196864159419, 0.442824446003153, 0.39802638756148234,
+    0.45844670760296574, 0.4273974924045347, 0.4501376195388485, 0.48457724474736535,
+    0.4815279202826093, 0.4150940492692483, 0.4513787334780843, 0.42702584220573103,
+    0.40226733728550246, 0.3913840708831577, 0.3865194690920325, 0.4802165635481556,
+    0.5165645293533788, 0.41634202579064805, 0.45284355653114045, 0.42385199699185905,
+    0.4249727357760469, 0.4354609483782579, 0.5071026697324775, 0.4087480985002206,
+    0.40427108835741304, 0.49916284610692213, 0.42601370022481044, 0.5257495960370683,
+    0.4061623564313111, 0.41702266619086287, 0.3950803597708916, 0.39531435656210073,
+    0.3950306095661094, 0.4028155884011995, 0.42466270389891286, 0.5463063659690723,
+    0.40341190253036324, 0.4223262368795032, 0.5096471296701552, 0.3959136975975081,
+    0.4566173743424328, 0.4284889099117545, 0.3953233738197279, 0.4152826884033029,
+    0.388454540502592, 0.4212682154822211, 0.38754359368410324, 0.39520671824814896,
+    0.5780422018617912, 0.4870947494233529, 0.41810519699365434, 0.4470292855784568,
+    0.4186237020971793, 0.4749084891824835, 0.463384682562303, 0.4382593555930848,
+    0.43321884869997573, 0.47812500255544393, 0.45156181464853334, 0.470666111974431,
+    0.42325637902549135, 0.5297614188005472, 0.4014364097306755, 0.514602909474488,
+    0.5043848740560477, 0.4649678713498547, 0.5587682583670903, 0.4292380360968182,
+    0.416384197608113, 0.42072815860733137, 0.40043382003342914, 0.39625622646001357,
+    0.52515783207427, 0.42250159235421, 0.4213063749314445, 0.5018582740531757,
+])
+
+
+def test_iforest_scores_match_recorded_values_on_a_tie_free_input():
+    X = np.random.default_rng(2025).standard_normal((200, 5))
+    scores = iforest_scores(X, np.random.default_rng(11))
+    np.testing.assert_array_equal(scores, IFOREST_TIE_FREE_RECORDED)
+
+
+def reference_iforest_scores(X, rng, n_trees=100, subsample=256):
+    """iforest_scores as first written: each node reduces every column and
+    routes its rows of X as the tree grows."""
+    d = X.shape[0]
+    psi = min(subsample, d)
+    height_limit = max(1, math.ceil(math.log2(psi))) if psi > 1 else 1
+    columns = X.T
+    path_length = [avg_path_length(m) for m in range(psi + 1)]
+    total = np.zeros(d, dtype=np.float64)
+    tree = np.empty(d, dtype=np.float64)
+
+    def grow(sub, rows, depth):
+        m = sub.shape[0]
+        if depth < height_limit and m > 1:
+            lo = np.minimum.reduce(sub)
+            hi = np.maximum.reduce(sub)
+            usable = (hi > lo).nonzero()[0]
+            if usable.size:
+                f = int(usable[rng.integers(usable.size)])
+                s = float(rng.uniform(lo[f], hi[f]))
+                left = sub[:, f] < s
+                goes_left = columns[f][rows] < s
+                grow(sub.compress(left, axis=0), rows.compress(goes_left), depth + 1)
+                grow(sub.compress(~left, axis=0), rows.compress(~goes_left), depth + 1)
+                return
+        tree[rows] = depth + path_length[m]
+
+    for _ in range(n_trees):
+        grow(X[rng.choice(d, size=psi, replace=False)], np.arange(d), 0)
+        total += tree
+    mean_depth = total / n_trees
+    return np.power(2.0, -mean_depth / avg_path_length(psi))
+
+
+def iforest_case(kind, rng):
+    """One hostile input of the given kind and the iforest_scores keywords."""
+    normal = rng.standard_normal((300, 4))
+    if kind == "tie-free":
+        return normal, {}
+    if kind == "quarter-steps":
+        return np.round(normal * 4.0) / 4.0, {}
+    if kind == "constant-column":
+        normal[:, 2] = 1.0
+        return normal, {}
+    if kind == "stall":
+        normal[120:180] = normal[120]
+        return normal, {}
+    if kind == "one-tied-column":
+        normal[:, 1] = np.round(normal[:, 1])
+        return normal, {}
+    if kind == "signed-zeros":
+        normal[::3, 0] = 0.0
+        normal[1::3, 0] = -0.0
+        return normal, {}
+    if kind == "huge-scale":
+        return normal * 1e150, {}
+    if kind == "nan":
+        normal[7, 2] = np.nan
+        return normal, {}
+    if kind == "fewer-rows-than-subsample":
+        return normal[:100], {}
+    if kind == "two-rows":
+        return normal[:2], {}
+    if kind == "subsample-two":
+        return normal, {"subsample": 2}
+    if kind == "one-tree":
+        return normal, {"n_trees": 1}
+    return normal[:, :1], {}  # one column
+
+
+IFOREST_CASES = (
+    "tie-free", "quarter-steps", "constant-column", "stall", "one-tied-column",
+    "signed-zeros", "huge-scale", "nan", "fewer-rows-than-subsample", "two-rows",
+    "subsample-two", "one-tree", "one-column",
+)
+
+
+@pytest.mark.parametrize("kind", IFOREST_CASES)
+def test_iforest_scores_match_the_recursive_reference_bit_for_bit(kind):
+    for seed in range(3):
+        X, kwargs = iforest_case(kind, np.random.default_rng([seed, len(kind)]))
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = reference_iforest_scores(X, want_rng, **kwargs)
+        got = iforest_scores(X, got_rng, **kwargs)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("kind,tie_free", [
+    ("tie-free", True), ("huge-scale", True), ("quarter-steps", False),
+    ("constant-column", False), ("stall", False), ("one-tied-column", False),
+    ("signed-zeros", False), ("nan", False),
+])
+def test_iforest_takes_the_tie_free_path_only_without_ties(kind, tie_free):
+    X, _ = iforest_case(kind, np.random.default_rng(0))
+    assert iforest._tie_free(X) is tie_free
+
+
+def test_random_draw_matches_uniform_bits_and_state():
+    for exponent in range(-300, 301, 20):
+        lo, hi = -0.3 * 10.0**exponent, 0.7 * 10.0**exponent
+        want_rng, got_rng = np.random.default_rng(exponent + 300), np.random.default_rng(exponent + 300)
+        for _ in range(1000):
+            want = float(want_rng.uniform(lo, hi))
+            got = lo + (hi - lo) * got_rng.random()
+            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_iforest_overflowing_range_raises_numerical_failure():
+    X = np.zeros((50, 2))  # column 1 is constant, so the root splits column 0
+    X[0, 0], X[1, 0] = -1e308, 1e308
+    with pytest.raises(NumericalFailure, match="isolation forest"):
+        iforest_scores(X, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("quantized", [True, False])
+def test_iforest_memory_bounded_at_smd_scale(quantized):
+    # 28,000 x 38 rows, SMD's width: quantized with stalls and a constant
+    # column, or tie-free; the routing buffers and one sorted column stay
+    # under a quarter of X
+    rng = np.random.default_rng(5)
+    if quantized:
+        X = stalled_quarter_steps(rng, 28_000, 38)
+        X[:, -1] = 1.0
+    else:
+        X = rng.standard_normal((28_000, 38))
+    tracemalloc.start()
+    try:
+        iforest_scores(X, np.random.default_rng(6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < X.nbytes / 4, f"peak {peak / 2**20:.2f} MiB of {X.nbytes / 2**20:.2f} MiB"
 
 
 def test_every_learner_ranks_gross_outlier_first():

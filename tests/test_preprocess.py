@@ -222,6 +222,27 @@ def test_correlation_csv_export(tmp_path):
     assert lines[1].endswith(",1")
 
 
+
+def test_correlation_holds_one_frame_copy():
+    # 28,000 x 38 rows, 20 of them tied to the labels: the centred copy goes
+    # once r is known, and the kept columns are taken once, in C order
+    rng = np.random.default_rng(12)
+    d = 28_000
+    k = rng.integers(0, 2, d)
+    vals = rng.standard_normal((d, 38))
+    vals[:, :20] += 4.0 * k[:, None]
+    f = frame_from({f"m{i}": vals[:, i] for i in range(38)})
+    lab = LabelSeries(timestamps=f.timestamps, labels=k)
+    tracemalloc.start()
+    try:
+        sel, _ = correlate_select(f, lab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sel.columns == tuple(f"m{i}" for i in range(20))
+    np.testing.assert_array_equal(sel.values, f.values[:, :20])
+    assert peak <= 1.25 * f.values.nbytes, f"peak {peak / f.values.nbytes:.2f} x the input"
+
 def test_correlation_needs_three_rows():
     f = frame_from({"a": [1.0, 2.0]})
     lab = labels_for(f, [0, 1])
